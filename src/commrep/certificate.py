@@ -16,7 +16,7 @@ forces r >= n+1:
     kI + ker, so its kernel has dimension at most n out of 2n+1.
 
 The verifier recomputes everything from the raw pairs and accepts only if
-every invariant holds, so a accepted certificate yields r >= n+1 by direct
+every invariant holds, so an accepted certificate yields r >= n+1 by direct
 rank computation, independent of how it was built.
 
 Over a prime field the grid argument needs p distinct digit values, hence
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .commgraph import Assignment, matching_graph, realizes
-from .errors import FieldTooSmallError, PatternViolationError, SchemaError
+from .errors import FieldTooSmallError, PatternViolationError, SchemaError, json_int
 from .exactla import (
     FieldSpec,
     Matrix,
@@ -368,10 +368,10 @@ def certificate_from_json(doc, path: str = "certificate") -> LowerBoundCertifica
         field = FieldSpec.from_name(doc["field"])
     except ValueError as e:
         raise SchemaError(str(e), f"{path}.field") from None
-    n, r = doc["n"], doc["r"]
-    for name, val in (("n", n), ("r", r), ("image_rank", doc["image_rank"]), ("bound", doc["bound"])):
-        if not isinstance(val, int) or val < 0:
-            raise SchemaError(f"{name!r} must be a non-negative integer", path)
+    n = json_int(doc["n"], 1, f"{path}.n")
+    r, image_rank, bound = (
+        json_int(doc[key], 0, f"{path}.{key}") for key in ("r", "image_rank", "bound")
+    )
     if not isinstance(doc["v"], list) or not isinstance(doc["alpha"], list):
         raise SchemaError("'v' and 'alpha' must be lists", path)
     v = tuple(scalar_from_json(x, field, f"{path}.v[{k}]") for k, x in enumerate(doc["v"]))
@@ -400,8 +400,8 @@ def certificate_from_json(doc, path: str = "certificate") -> LowerBoundCertifica
         alpha=alpha,
         z=None,
         gram=gram,
-        image_rank=doc["image_rank"],
-        concluded_bound=doc["bound"],
+        image_rank=image_rank,
+        concluded_bound=bound,
     )
 
 

@@ -158,7 +158,6 @@ def cmd_search(ns):
         mode=ns.mode,
         budget=ns.budget,
         hint=hint,
-        jobs=ns.jobs,
     )
     code = 3 if report.status == STATUS_EXHAUSTED else 0
     return report_to_json(report), code
@@ -259,7 +258,7 @@ def build_parser() -> _Parser:
     se.add_argument("--mode", choices=["all", "invertible_only"], default="all")
     se.add_argument("--budget", type=int, default=10**8, help="constraint-check node limit")
     se.add_argument("--hint", default=None, help="assignment JSON giving an upper bound")
-    se.add_argument("--jobs", type=int, default=1, help="parallel workers over partitions")
+    se.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; changes nothing")
     se.set_defaults(handler=cmd_search)
 
     sp = sub.add_parser("split", help="composition factors of a matrix module")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SchemaError
+from .errors import SchemaError, json_int
 from .exactla import FieldSpec, Matrix, commutator
 
 _INT64_SAFE = 2**62
@@ -228,17 +228,15 @@ def graph_from_json(doc, path: str = "graph") -> CommGraph:
         raise SchemaError("graph must be an object", path)
     if "vertices" not in doc or "edges" not in doc:
         raise SchemaError("graph needs 'vertices' and 'edges'", path)
-    m = doc["vertices"]
-    if not isinstance(m, int) or m < 1:
-        raise SchemaError("'vertices' must be a positive integer", f"{path}.vertices")
+    m = json_int(doc["vertices"], 1, f"{path}.vertices")
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise SchemaError("'edges' must be a list", f"{path}.edges")
     pairs = []
     for k, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2):
             raise SchemaError("edge must be [u, v]", f"{path}.edges[{k}]")
-        pairs.append(tuple(e))
+        pairs.append(tuple(json_int(x, 1, f"{path}.edges[{k}]") for x in e))
     try:
         return CommGraph.make(m, pairs)
     except ValueError as err:

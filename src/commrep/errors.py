@@ -26,6 +26,17 @@ class SchemaError(CommrepError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
+def json_int(value, minimum: int, path: str) -> int:
+    """An integer field of a JSON document, at least ``minimum``.
+
+    JSON ``true`` and ``false`` load as Python bools, which are ints; they
+    are refused here like any other non-integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SchemaError(f"expected an integer >= {minimum}, got {value!r}", path)
+    return value
+
+
 class FieldTooSmallError(CommrepError):
     """The prime field has too few elements for the requested construction."""
 

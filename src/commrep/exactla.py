@@ -9,14 +9,18 @@ exact.
 Indices in the public API are 1-based, matching the usual E_{i,j} notation
 for elementary matrices; storage is row-major 0-based internally.
 
-Rank and kernels over Q run fraction-free (Bareiss) elimination on integer
-rows after clearing denominators, which keeps intermediate growth bounded by
-minor sizes.  Over F_p plain Gaussian elimination with modular inverses is
-used.
+All elimination goes through one routine, ``_insert_row``, which reduces an
+integer row against a reduced row-echelon basis and inserts it if it is
+independent.  Over Q the rows are cleared of denominators and kept primitive
+with a positive pivot, so no fractions arise and basis entries stay bounded
+by minors of the input; over F_p they are residues with pivot 1.  Rank, kernel,
+inverse and invertibility read their answers off that reduced form, and
+module spinning (``modsplit.spin``) grows one basis with it row by row.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -472,132 +476,110 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 # -- elimination -----------------------------------------------------------
 
 
-def _integer_rows(a: Matrix) -> list:
-    """Rows as integer lists; over Q each row is scaled by its denominator lcm.
+def _integer_row(row: Sequence[ScalarValue], field: FieldSpec) -> list:
+    """The row as integers; over Q scaled by its denominator lcm.
 
     Row scaling by positive constants preserves rank and null space.
     """
-    out = []
-    if a.field.is_rationals:
-        for i in range(a.rows):
-            row = a.entries[i * a.cols : (i + 1) * a.cols]
-            m = math.lcm(*(x.denominator for x in row)) if row else 1
-            out.append([int(x * m) for x in row])
-    else:
-        for i in range(a.rows):
-            out.append(list(a.entries[i * a.cols : (i + 1) * a.cols]))
-    return out
+    if field.is_rationals:
+        m = math.lcm(*(x.denominator for x in row))
+        return [int(x * m) for x in row]
+    return list(row)
 
 
-def _bareiss_echelon(m: list) -> tuple:
-    """Fraction-free echelon form of integer rows, in place.
+def _insert_row(basis: list, pivots: list, row: Sequence[int], p: Optional[int]):
+    """Reduce an integer row against a reduced row-echelon basis; insert it if independent.
 
-    Returns (pivots, rows) with pivots a list of (row, col) positions.
+    ``basis`` is ordered by the pivot columns listed in ``pivots`` and is zero
+    in every other row's pivot column.  Over F_p (``p`` prime) rows are
+    residues in [0, p) with pivot 1.  Over Q (``p`` None) rows are primitive
+    integer vectors with a positive pivot, combined without fractions.
+    Returns the inserted row, or None when ``row`` lies in the span.
     """
-    if not m:
-        return [], m
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    prev = 1
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for i in range(pr, nrows):
-            if m[i][pc]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != pr:
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        piv = m[pr][pc]
-        for i in range(pr + 1, nrows):
-            mi = m[i]
-            head = mi[pc]
-            if head:
-                mp = m[pr]
-                for j in range(pc + 1, ncols):
-                    mi[j] = (piv * mi[j] - head * mp[j]) // prev
-                mi[pc] = 0
-            elif prev != piv:
-                mp = m[pr]
-                for j in range(pc + 1, ncols):
-                    mi[j] = piv * mi[j] // prev
-        prev = piv
-        pivots.append((pr, pc))
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots, m
+    v = row
+    if p is None:
+        # every pivot divides the pivot-minor determinant, so this scale stays small
+        scale = math.lcm(*(w[pc] for w, pc in zip(basis, pivots) if v[pc]))
+        if scale > 1:
+            v = [scale * x for x in v]
+    for w, pc in zip(basis, pivots):
+        head = v[pc]
+        if head:
+            if p is None:
+                t = head // w[pc]
+                v = [x - t * y for x, y in zip(v, w)]
+            else:
+                v = [(x - head * y) % p for x, y in zip(v, w)]
+    pc = next((j for j, x in enumerate(v) if x), None)
+    if pc is None:
+        return None
+    lead = v[pc]
+    if p is None:
+        g = math.gcd(*v) if lead > 0 else -math.gcd(*v)
+        if g != 1:
+            v = [x // g for x in v]
+    elif lead != 1:
+        inv = pow(lead, -1, p)
+        v = [x * inv % p for x in v]
+    lead = v[pc]
+    for k, w in enumerate(basis):
+        head = w[pc]
+        if head:
+            if p is None:
+                g = math.gcd(head, lead)
+                s, t = lead // g, head // g
+                w = [s * x - t * y for x, y in zip(w, v)]
+                g = math.gcd(*w)
+                basis[k] = [x // g for x in w] if g > 1 else w
+            else:
+                basis[k] = [(x - head * y) % p for x, y in zip(w, v)]
+    at = bisect.bisect(pivots, pc)
+    basis.insert(at, v)
+    pivots.insert(at, pc)
+    return v
 
 
-def _modp_echelon(m: list, p: int) -> tuple:
-    """Row echelon form mod p, in place; returns (pivots, rows)."""
-    if not m:
-        return [], m
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for i in range(pr, nrows):
-            if m[i][pc] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != pr:
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        inv = pow(m[pr][pc], -1, p)
-        m[pr] = [x * inv % p for x in m[pr]]
-        for i in range(pr + 1, nrows):
-            head = m[i][pc] % p
-            if head:
-                mp = m[pr]
-                m[i] = [(x - head * y) % p for x, y in zip(m[i], mp)]
-        pivots.append((pr, pc))
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots, m
+def _reduced_form(rows: Sequence[list], width: int, p: Optional[int]) -> tuple:
+    """(basis, pivots): the reduced row-echelon form of the span of ``rows``."""
+    basis, pivots = [], []
+    for row in rows:
+        if len(pivots) == width:
+            break  # full rank: every further row lies in the span
+        _insert_row(basis, pivots, row, p)
+    return basis, pivots
 
 
-def _echelon(a: Matrix) -> tuple:
-    if a.field.is_rationals:
-        return _bareiss_echelon(_integer_rows(a))
-    return _modp_echelon(_integer_rows(a), a.field.characteristic)
+def _matrix_reduced_form(a: Matrix) -> tuple:
+    rows = (_integer_row(a.row_values(i + 1), a.field) for i in range(a.rows))
+    return _reduced_form(rows, a.cols, a.field.characteristic)
 
 
 def rank(a: Matrix) -> int:
     """Exact rank over the matrix's field."""
-    pivots, _ = _echelon(a)
-    return len(pivots)
+    return len(_matrix_reduced_form(a)[1])
 
 
 def kernel_basis(a: Matrix) -> list:
     """Basis of the right null space {v : Av = 0}; empty iff rank = cols.
 
-    One basis vector per free column, with a 1 in that coordinate.
+    One basis vector per free column, with a 1 in that coordinate and 0 in
+    every other free coordinate.
     """
     field = a.field
-    pivots, m = _echelon(a)
-    pivot_cols = [pc for _, pc in pivots]
-    free_cols = [j for j in range(a.cols) if j not in pivot_cols]
-    basis = []
-    for fc in free_cols:
+    p = field.characteristic
+    basis, pivots = _matrix_reduced_form(a)
+    pivot_set = set(pivots)
+    out = []
+    for fc in range(a.cols):
+        if fc in pivot_set:
+            continue
         x = [field.zero()] * a.cols
         x[fc] = field.one()
-        # back-substitute pivot variables bottom-up
-        for pr, pc in reversed(pivots):
-            row = m[pr]
-            s = sum(row[j] * x[j] for j in range(pc + 1, a.cols))
-            if field.is_rationals:
-                x[pc] = Fraction(-s, row[pc])
-            else:
-                p = field.characteristic
-                x[pc] = (-s) * pow(row[pc], -1, p) % p
-        basis.append(tuple(x))
-    return basis
+        for row, pc in zip(basis, pivots):
+            if row[fc]:
+                x[pc] = Fraction(-row[fc], row[pc]) if p is None else p - row[fc]
+        out.append(tuple(x))
+    return out
 
 
 def span_rank(vectors: Sequence[Sequence[ScalarValue]], field: FieldSpec) -> int:
@@ -612,34 +594,25 @@ def is_invertible(a: Matrix) -> bool:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Inverse of a square matrix by Gauss-Jordan elimination."""
+    """Inverse of a square matrix: the right half of the reduced form of [A | I]."""
     if not a.is_square:
         raise ValueError("inverse of a non-square matrix")
     field = a.field
     n = a.rows
-    if field.is_rationals:
-        m = [[Fraction(x) for x in a.row_values(i + 1)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        div = lambda x, y: x / y  # noqa: E731
-        norm = lambda x: x  # noqa: E731
-    else:
-        p = field.characteristic
-        m = [list(a.row_values(i + 1)) + [int(i == j) for j in range(n)] for i in range(n)]
-        div = lambda x, y: x * pow(y, -1, p) % p  # noqa: E731
-        norm = lambda x: x % p  # noqa: E731
-    for col in range(n):
-        piv = next((i for i in range(col, n) if norm(m[i][col])), None)
-        if piv is None:
-            raise ValueError("matrix is not invertible")
-        m[col], m[piv] = m[piv], m[col]
-        inv_p = div(field.one(), m[col][col])
-        m[col] = [norm(x * inv_p) for x in m[col]]
-        for i in range(n):
-            if i != col and norm(m[i][col]):
-                head = m[i][col]
-                m[i] = [norm(x - head * y) for x, y in zip(m[i], m[col])]
+    zero, one = field.zero(), field.one()
+    rows = (
+        _integer_row(a.row_values(i + 1) + tuple(one if j == i else zero for j in range(n)), field)
+        for i in range(n)
+    )
+    basis, pivots = _reduced_form(rows, 2 * n, field.characteristic)
+    if pivots[-1] >= n:  # [A | I] has rank n, so a pivot right of A means A is singular
+        raise ValueError("matrix is not invertible")
     ent = []
-    for i in range(n):
-        ent.extend(m[i][n:])
+    for i, row in enumerate(basis):
+        if field.is_rationals:
+            ent.extend(Fraction(x, row[i]) for x in row[n:])
+        else:
+            ent.extend(row[n:])
     return Matrix(field, n, n, tuple(ent))
 
 
@@ -691,7 +664,7 @@ def matrix_to_json(a: Matrix) -> dict:
 
 
 def matrix_from_json(doc, path: str = "matrix") -> Matrix:
-    from .errors import SchemaError
+    from .errors import SchemaError, json_int
 
     if not isinstance(doc, dict):
         raise SchemaError("matrix must be an object", path)
@@ -702,9 +675,8 @@ def matrix_from_json(doc, path: str = "matrix") -> Matrix:
         field = FieldSpec.from_name(doc["field"])
     except ValueError as e:
         raise SchemaError(str(e), f"{path}.field") from None
-    rows, cols = doc["rows"], doc["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
-        raise SchemaError("rows/cols must be positive integers", path)
+    rows = json_int(doc["rows"], 1, f"{path}.rows")
+    cols = json_int(doc["cols"], 1, f"{path}.cols")
     ent = doc["entries"]
     if not isinstance(ent, list) or len(ent) != rows * cols:
         raise SchemaError(f"expected {rows * cols} entries", f"{path}.entries")

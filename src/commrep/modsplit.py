@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
-from .errors import GuardError, SchemaError
+from .errors import GuardError, SchemaError, json_int
 from .exactla import (
     FieldSpec,
     Matrix,
+    _insert_row,
     block_diagonal,
     identity,
     inverse,
@@ -86,32 +87,6 @@ def _guard(spec: ModuleSpec):
         )
 
 
-def _rref_insert(basis, pivots, vec, p):
-    """Reduce ``vec`` against an RREF basis; insert if independent.
-
-    Returns the inserted reduced vector, or None if dependent.  The basis
-    stays in reduced row echelon form with rows ordered by pivot column.
-    """
-    v = list(vec)
-    for row, pc in zip(basis, pivots):
-        head = v[pc] % p
-        if head:
-            v = [(x - head * y) % p for x, y in zip(v, row)]
-    pc = next((j for j, x in enumerate(v) if x % p), None)
-    if pc is None:
-        return None
-    inv = pow(v[pc], -1, p)
-    v = [x * inv % p for x in v]
-    for k, row in enumerate(basis):
-        head = row[pc] % p
-        if head:
-            basis[k] = [(x - head * y) % p for x, y in zip(row, v)]
-    at = next((k for k, q in enumerate(pivots) if q > pc), len(pivots))
-    basis.insert(at, v)
-    pivots.insert(at, pc)
-    return v
-
-
 def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
     """Canonical RREF basis of the smallest invariant subspace containing ``vector``."""
     p = spec.field.characteristic
@@ -121,12 +96,11 @@ def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
     if not any(vec):
         raise ValueError("seed vector must be nonzero")
     basis, pivots = [], []
-    queue = [_rref_insert(basis, pivots, vec, p)]
+    queue = [_insert_row(basis, pivots, vec, p)]
     while queue:
         w = queue.pop()
         for g in spec.generators:
-            image = g.apply(tuple(w))
-            reduced = _rref_insert(basis, pivots, image, p)
+            reduced = _insert_row(basis, pivots, g.apply(tuple(w)), p)
             if reduced is not None:
                 queue.append(reduced)
     return tuple(tuple(row) for row in basis)
@@ -230,7 +204,7 @@ def counting_chain_check(dims: Sequence[Sequence[int]]) -> CountCheck:
         if len(row) != n:
             raise ValueError("table must be rectangular")
         for x in row:
-            if not isinstance(x, int) or x < 1:
+            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
                 raise ValueError(f"entries must be positive integers, got {x!r}")
     s_sets = tuple(
         tuple(i + 1 for i, d in enumerate(row) if d >= 2) for row in dims
@@ -272,8 +246,7 @@ def module_from_json(doc, path: str = "module") -> ModuleSpec:
         field = FieldSpec.from_name(doc["field"])
     except ValueError as e:
         raise SchemaError(str(e), f"{path}.field") from None
-    if not isinstance(doc["dim"], int) or doc["dim"] < 1:
-        raise SchemaError("'dim' must be a positive integer", f"{path}.dim")
+    dim = json_int(doc["dim"], 1, f"{path}.dim")
     gens = doc["generators"]
     if not isinstance(gens, list) or not gens:
         raise SchemaError("'generators' must be a nonempty list", f"{path}.generators")
@@ -281,7 +254,7 @@ def module_from_json(doc, path: str = "module") -> ModuleSpec:
         matrix_from_json(g, f"{path}.generators[{k}]") for k, g in enumerate(gens)
     )
     try:
-        return ModuleSpec(field, doc["dim"], matrices)
+        return ModuleSpec(field, dim, matrices)
     except ValueError as e:
         raise SchemaError(str(e), path) from None
 

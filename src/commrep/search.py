@@ -6,12 +6,11 @@ soon as one commutation constraint fails.  Candidates are enumerated by
 their row-major entry tuple as a base-p counter (the zero matrix first), so
 results are reproducible byte for byte.
 
-The sweep is partitioned by the first vertex's candidate.  Partitions are
-fully independent, each getting a fixed slice of the node budget and
-exploring to its own completion, so the merged outcome (and every count) is
-identical whether partitions run sequentially or on a thread pool.  The
-merge takes the witness from the lowest-numbered partition that found one,
-which is the first witness in global candidate order.
+The sweep is partitioned by the first vertex's candidate.  Each partition
+gets a fixed slice of the node budget and explores to its own completion,
+so every count depends only on the inputs.  The merge takes the witness
+from the lowest-numbered partition that found one, which is the first
+witness in global candidate order.
 
 ``min_realization_dim`` ascends r = 1, 2, ... with a worst-case feasibility
 precheck per level; levels it cannot afford to sweep are never reported as
@@ -22,13 +21,12 @@ applied as an independent exclusion method.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .commgraph import Assignment, CommGraph, graph_to_json, realizes
 from .errors import InvalidHintError
-from .exactla import FieldSpec, Matrix
+from .exactla import FieldSpec, Matrix, is_invertible
 
 FOUND = "found"
 NONE = "none"
@@ -81,25 +79,10 @@ def matching_lower_bound(graph: CommGraph) -> Optional[int]:
     return None
 
 
-def _tuple_invertible(entries, r, p):
-    m = [list(entries[i * r : (i + 1) * r]) for i in range(r)]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if m[i][col] % p), None)
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], -1, p)
-        for i in range(col + 1, r):
-            head = m[i][col] % p
-            if head:
-                m[i] = [(x - head * inv * y) % p for x, y in zip(m[i], m[col])]
-    return True
-
-
-def _candidates(r: int, p: int, mode: str):
-    cands = list(itertools.product(range(p), repeat=r * r))
+def _candidates(r: int, field: FieldSpec, mode: str):
+    cands = list(itertools.product(range(field.characteristic), repeat=r * r))
     if mode == MODE_INVERTIBLE:
-        cands = [c for c in cands if _tuple_invertible(c, r, p)]
+        cands = [c for c in cands if is_invertible(Matrix(field, r, r, c))]
     return cands
 
 
@@ -178,7 +161,6 @@ def exists_realization(
     r: int,
     mode: str = MODE_ALL,
     budget: int = 10**8,
-    jobs: int = 1,
 ) -> ExistsOutcome:
     """Sweep dimension r exhaustively; NONE is a proof of non-existence.
 
@@ -196,23 +178,16 @@ def exists_realization(
     if p ** (r * r) > min(budget, _CANDIDATE_CAP):
         return ExistsOutcome(BUDGET_EXCEEDED, None, 0)
 
-    candidates = _candidates(r, p, mode)
-    m = graph.vertex_count
+    candidates = _candidates(r, field, mode)
     if not candidates:
         return ExistsOutcome(NONE, None, 0)
 
     n_parts = len(candidates)
     share, extra = divmod(max(budget, 0), n_parts)
-
-    def run_partition(k):
-        part = _Partition(graph, candidates, r, p, share + (1 if k < extra else 0))
-        return part.run(k)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_partition, range(n_parts)))
-    else:
-        results = [run_partition(k) for k in range(n_parts)]
+    results = [
+        _Partition(graph, candidates, r, p, share + (1 if k < extra else 0)).run(k)
+        for k in range(n_parts)
+    ]
 
     nodes = sum(res[2] for res in results)
     witness = None
@@ -239,7 +214,6 @@ def min_realization_dim(
     mode: str = MODE_ALL,
     budget: int = 10**8,
     hint: Optional[Assignment] = None,
-    jobs: int = 1,
 ) -> SearchReport:
     """Ascend r = 1..r_max, collecting exclusions and the first realization."""
     if field.is_rationals:
@@ -286,7 +260,7 @@ def min_realization_dim(
                 continue
             exceeded = True  # the budget, not r_max, stopped the ascent
             break  # r cannot be excluded: it becomes the reported lower bound
-        outcome = exists_realization(graph, field, r, mode, remaining, jobs)
+        outcome = exists_realization(graph, field, r, mode, remaining)
         nodes_total += outcome.nodes
         if outcome.status == FOUND:
             if analytic is not None and r < analytic:

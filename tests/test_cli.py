@@ -218,6 +218,33 @@ def test_count_check(workdir):
     assert run_cli("count-check", "--dims", nonpos).returncode == 2
 
 
+_ONE = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1", "1"]]}
+_CERT = {"field": "Q", "n": 1, "r": 2, "v": [["0", "1"], ["1", "1"]], "alpha": [["1", "1"], ["1", "1"]],
+         "gram": [[["0", "1"], ["2", "1"]], [["-2", "1"], ["0", "1"]]], "image_rank": 2, "bound": 2}
+
+
+@pytest.mark.parametrize(
+    "command, files, exit_code, code",
+    [
+        (["verify-cert", "--cert", "{a}", "--input", "{b}"],
+         [dict(_CERT, n=0, gram=[]), {"matrices": [_ONE, _ONE]}], 1, "schema"),
+        (["verify-cert", "--cert", "{a}", "--input", "{b}"],
+         [dict(_CERT, image_rank=True), {"matrices": [_ONE, _ONE]}], 1, "schema"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": [dict(_ONE, rows=True)]}, {"vertices": 1, "edges": []}], 1, "schema"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": [_ONE, _ONE]}, {"vertices": True, "edges": []}], 1, "schema"),
+        (["count-check", "--dims", "{a}"], [{"dims": [[True, 2]]}], 2, "invalid_argument"),
+    ],
+    ids=["cert-n-zero", "cert-image-rank-true", "matrix-rows-true", "graph-vertices-true", "dims-entry-true"],
+)
+def test_json_booleans_and_empty_certificate_are_typed_errors(workdir, command, files, exit_code, code):
+    paths = {name: _write(workdir, f"{name}.json", doc) for name, doc in zip("ab", files)}
+    res = run_cli(*(arg.format(**paths) for arg in command))
+    assert res.returncode == exit_code
+    assert payload(res)["error"]["code"] == code
+
+
 def test_selftest_passes():
     res = run_cli("selftest")
     assert res.returncode == 0
