@@ -136,19 +136,9 @@ def find_avoiding_vector(constraints: Sequence[Matrix], dim: int, field: FieldSp
             raise ValueError(f"constraint {k} is the zero matrix")
 
     digits = [field.scalar(d) for d in range(c + 1)]
-    # last column (1-based) holding a nonzero entry, per constraint
-    last_nonzero = []
-    for m in constraints:
-        last = 0
-        for j in range(m.cols, 0, -1):
-            if any(m.entry(i, j) for i in range(1, m.rows + 1)):
-                last = j
-                break
-        last_nonzero.append(last)
-    columns = [
-        [tuple(m.entry(i, j) for i in range(1, m.rows + 1)) for j in range(1, dim + 1)]
-        for m in constraints
-    ]
+    # last column (1-based) holding a nonzero entry, per constraint; rows are column-ordered
+    last_nonzero = [max(row[-1][0] for row in m.nonzero_rows if row) + 1 for m in constraints]
+    columns = [m.transpose().rows_list() for m in constraints]
 
     offsets = [tuple([field.zero()] * m.rows) for m in constraints]
     chosen = []
@@ -309,12 +299,10 @@ def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> Verifica
     else:
         if cert.gram != expected_gram:
             reasons.append(REASON_GRAM_MISMATCH)
-        alternating = all(
-            cert.gram.entry(i, i) == field.zero() for i in range(1, 2 * n + 1)
-        ) and all(
-            cert.gram.entry(i, j) == field.neg(cert.gram.entry(j, i))
-            for i in range(1, 2 * n + 1)
-            for j in range(i + 1, 2 * n + 1)
+        gram = cert.gram
+        # -G = G^T leaves a nonzero diagonal possible only in characteristic 2
+        alternating = gram.transpose() == -gram and not any(
+            j == i for i, row in enumerate(gram.nonzero_rows) for j, _ in row
         )
         if not alternating:
             reasons.append(REASON_GRAM_NOT_ALTERNATING)
@@ -349,10 +337,7 @@ def certificate_to_json(cert: LowerBoundCertificate) -> dict:
         "r": cert.r,
         "v": [scalar_to_json(x, f) for x in cert.v],
         "alpha": [scalar_to_json(x, f) for x in cert.alpha],
-        "gram": [
-            [scalar_to_json(cert.gram.entry(i, j), f) for j in range(1, cert.gram.cols + 1)]
-            for i in range(1, cert.gram.rows + 1)
-        ],
+        "gram": [[scalar_to_json(x, f) for x in row] for row in cert.gram.rows_list()],
         "image_rank": cert.image_rank,
         "bound": cert.concluded_bound,
     }

@@ -123,7 +123,7 @@ def _integer_tensor(matrices: Sequence[Matrix]) -> tuple:
     per_matrix = []
     maxabs = 0
     for k, a in enumerate(matrices):
-        nnz = a.rows_nnz()
+        nnz = a.nonzero_rows
         d = 1
         if rationals and any(nnz):
             d = math.lcm(*(x.denominator for row in nnz for _, x in row))

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals and over prime fields.
+"""Exact linear algebra over the rationals and over prime fields.
 
 Scalars are plain Python values: ``fractions.Fraction`` over Q (always in
 lowest terms with positive denominator) and canonical residues in ``[0, p)``
@@ -6,8 +6,13 @@ over F_p.  A :class:`FieldSpec` tags every matrix and performs coercion and
 scalar arithmetic.  There is no floating point anywhere; every result is
 exact.
 
+A :class:`Matrix` stores only its nonzero entries, row by row, which suits
+the matrices this package computes with: the sharp witness in dimension n+1
+has O(n) nonzeros, not (n+1)^2.  Sums, products and transposes do Python
+work on nonzero entries only; dense row-major views are built on request.
+
 Indices in the public API are 1-based, matching the usual E_{i,j} notation
-for elementary matrices; storage is row-major 0-based internally.
+for elementary matrices; storage is 0-based internally.
 
 All elimination goes through one routine, ``_insert_row``, which reduces an
 integer row against a reduced row-echelon basis and inserts it if it is
@@ -21,7 +26,6 @@ module spinning (``modsplit.spin``) grows one basis with it row by row.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +33,7 @@ from typing import Optional, Sequence, Union
 
 ScalarValue = Union[Fraction, int]
 
-# shared immutable constants: structural zeros compare by identity, which keeps
-# tuple equality on large mostly-zero matrices at pointer-comparison speed
+# shared immutable constants, so dense views and vectors allocate no new zeros
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
 
@@ -141,9 +144,6 @@ class FieldSpec:
     def mul(self, a, b):
         return a * b if self.is_rationals else (a * b) % self.characteristic
 
-    def neg(self, a):
-        return -a if self.is_rationals else (-a) % self.characteristic
-
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
@@ -168,51 +168,52 @@ def dot(u: Sequence[ScalarValue], v: Sequence[ScalarValue], field: FieldSpec) ->
     return Fraction(s)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Dense matrix with value semantics; entries share the matrix's field.
+def _nonzero_row(values) -> tuple:
+    """The (column, value) pairs of the nonzero entries of a dense row."""
+    return tuple((j, x) for j, x in enumerate(values) if x)
 
-    A sparse index (per-row lists of (column, value) for the nonzero
-    entries) is cached on first use and propagated through arithmetic, so
-    operations on structured matrices cost O(nonzeros) Python work rather
-    than O(rows * cols).  The index never enters equality or hashing.
+
+def _sorted_row(acc: dict, p: Optional[int]) -> tuple:
+    """Column-ordered nonzero pairs of a {column: value} row, reduced mod p over F_p."""
+    out = []
+    for j in sorted(acc):
+        x = acc[j] if p is None else acc[j] % p
+        if x:
+            out.append((j, x))
+    return tuple(out)
+
+
+@dataclass(frozen=True, init=False)
+class Matrix:
+    """Matrix with value semantics; entries share the matrix's field.
+
+    Only the nonzero entries are stored: for each row, the (column, value)
+    pairs in increasing column order, with 0-based columns.  That form is
+    canonical, so equality and hashing compare matrices by value, and
+    arithmetic on structured matrices costs O(nonzeros) Python work rather
+    than O(rows * cols).  The dense views ``entries``, ``entry``,
+    ``row_values``, ``rows_list`` and ``flatten`` are rebuilt on every call.
     """
 
     field: FieldSpec
     rows: int
     cols: int
-    entries: tuple  # row-major canonical scalars
-    _nnz: Optional[tuple] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+    nonzero_rows: tuple
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, field: FieldSpec, rows: int, cols: int, entries: Sequence[ScalarValue]):
+        """Matrix from its row-major entries, canonical scalars of ``field``."""
+        if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
+        nonzero = tuple(_nonzero_row(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+        self.__dict__.update(field=field, rows=rows, cols=cols, nonzero_rows=nonzero)
 
     @classmethod
-    def _seeded(cls, field, rows, cols, entries, rows_nnz) -> "Matrix":
-        m = cls(field, rows, cols, entries)
-        object.__setattr__(m, "_nnz", rows_nnz)
+    def _sparse(cls, field: FieldSpec, rows: int, cols: int, nonzero_rows: tuple) -> "Matrix":
+        m = cls.__new__(cls)
+        m.__dict__.update(field=field, rows=rows, cols=cols, nonzero_rows=nonzero_rows)
         return m
-
-    def rows_nnz(self) -> tuple:
-        """Per-row tuples of (column, value) for the nonzero entries."""
-        cached = self._nnz
-        if cached is None:
-            c = self.cols
-            cached = tuple(
-                tuple(
-                    (j, x)
-                    for j, x in enumerate(self.entries[i * c : (i + 1) * c])
-                    if x
-                )
-                for i in range(self.rows)
-            )
-            object.__setattr__(self, "_nnz", cached)
-        return cached
 
     # -- shape / access ---------------------------------------------------
 
@@ -220,27 +221,40 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    @property
+    def entries(self) -> tuple:
+        """Row-major tuple of every entry, zeros included."""
+        c = self.cols
+        out = [self.field.zero()] * (self.rows * c)
+        for i, row in enumerate(self.nonzero_rows):
+            base = i * c
+            for j, x in row:
+                out[base + j] = x
+        return tuple(out)
+
     def entry(self, i: int, j: int) -> ScalarValue:
         """1-based (i, j) entry."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return self.entries[(i - 1) * self.cols + (j - 1)]
+        return dict(self.nonzero_rows[i - 1]).get(j - 1, self.field.zero())
 
     def row_values(self, i: int) -> tuple:
         """1-based row as a tuple."""
         if not 1 <= i <= self.rows:
             raise IndexError(f"row {i} outside 1..{self.rows}")
-        return self.entries[(i - 1) * self.cols : i * self.cols]
+        out = [self.field.zero()] * self.cols
+        for j, x in self.nonzero_rows[i - 1]:
+            out[j] = x
+        return tuple(out)
 
     def rows_list(self) -> list:
-        c = self.cols
-        return [list(self.entries[k * c : (k + 1) * c]) for k in range(self.rows)]
+        return [list(self.row_values(i)) for i in range(1, self.rows + 1)]
 
     def flatten(self) -> tuple:
         return self.entries
 
     def is_zero(self) -> bool:
-        return all(not row for row in self.rows_nnz())
+        return not any(self.nonzero_rows)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -252,25 +266,18 @@ class Matrix:
 
     def _combine(self, other: "Matrix", sub: bool) -> "Matrix":
         self._check_same_shape(other)
-        f = self.field
-        p = f.characteristic if f.is_prime_field else None
-        c = self.cols
-        ent = list(self.entries)
-        nnz = []
-        for i, (arow, brow) in enumerate(zip(self.rows_nnz(), other.rows_nnz())):
-            if brow:
-                base = i * c
-                for j, b in brow:
-                    val = ent[base + j] - b if sub else ent[base + j] + b
-                    if p is not None:
-                        val = val % p
-                    ent[base + j] = val
-                nnz.append(tuple((j, ent[i * c + j]) for j in sorted(
-                    {j for j, _ in arow} | {j for j, _ in brow}
-                ) if ent[i * c + j]))
-            else:
-                nnz.append(arow)
-        return Matrix._seeded(f, self.rows, c, tuple(ent), tuple(nnz))
+        p = self.field.characteristic
+        out = []
+        for arow, brow in zip(self.nonzero_rows, other.nonzero_rows):
+            if not brow:
+                out.append(arow)
+                continue
+            acc = dict(arow)
+            for j, b in brow:
+                a = acc.get(j, 0)
+                acc[j] = a - b if sub else a + b
+            out.append(_sorted_row(acc, p))
+        return Matrix._sparse(self.field, self.rows, self.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, sub=False)
@@ -279,55 +286,30 @@ class Matrix:
         return self._combine(other, sub=True)
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        if f.is_prime_field:
-            p = f.characteristic
-            neg = lambda x: (-x) % p  # noqa: E731
-        else:
-            neg = lambda x: -x  # noqa: E731
-        ent = list(self.entries)
-        nnz = []
-        for i, row in enumerate(self.rows_nnz()):
-            base = i * self.cols
-            out_row = []
-            for j, x in row:
-                val = neg(x)
-                ent[base + j] = val
-                out_row.append((j, val))
-            nnz.append(tuple(out_row))
-        return Matrix._seeded(f, self.rows, self.cols, tuple(ent), tuple(nnz))
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.scalar(c)
         if not c:
             return zeros(self.rows, self.cols, f)
-        p = f.characteristic if f.is_prime_field else None
-        ent = [f.zero()] * (self.rows * self.cols)
-        nnz = []
-        for i, row in enumerate(self.rows_nnz()):
-            base = i * self.cols
-            out_row = []
-            for j, x in row:
-                val = x * c % p if p is not None else x * c
-                ent[base + j] = val
-                out_row.append((j, val))  # c is a unit, so products stay nonzero
-            nnz.append(tuple(out_row))
-        return Matrix._seeded(f, self.rows, self.cols, tuple(ent), tuple(nnz))
+        p = f.characteristic
+        # c is a unit, so every product stays nonzero
+        if p is None:
+            out = tuple(tuple((j, x * c) for j, x in row) for row in self.nonzero_rows)
+        else:
+            out = tuple(tuple((j, x * c % p) for j, x in row) for row in self.nonzero_rows)
+        return Matrix._sparse(f, self.rows, self.cols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        f = self.field
-        p = f.characteristic if f.is_prime_field else None
-        n, m = self.rows, other.cols
-        zero = f.zero()
-        brows = other.rows_nnz()
-        ent = [zero] * (n * m)
-        nnz = []
-        for i, arow in enumerate(self.rows_nnz()):
+        p = self.field.characteristic
+        brows = other.nonzero_rows
+        out = []
+        for arow in self.nonzero_rows:
             acc = {}
             for k, a in arow:
                 for j, b in brows[k]:
@@ -336,39 +318,28 @@ class Matrix:
                         acc[j] = acc[j] + prod
                     else:
                         acc[j] = prod
-            base = i * m
-            out_row = []
-            for j in sorted(acc):
-                val = acc[j] % p if p is not None else acc[j]
-                if val:
-                    ent[base + j] = val
-                    out_row.append((j, val))
-            nnz.append(tuple(out_row))
-        return Matrix._seeded(f, n, m, tuple(ent), tuple(nnz))
+            out.append(_sorted_row(acc, p))
+        return Matrix._sparse(self.field, self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
-        r, c = self.rows, self.cols
-        zero = self.field.zero()
-        ent = [zero] * (c * r)
-        buckets = [[] for _ in range(c)]
-        for i, row in enumerate(self.rows_nnz()):
+        buckets = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzero_rows):
             for j, x in row:
-                ent[j * r + i] = x
                 buckets[j].append((i, x))
-        return Matrix._seeded(self.field, c, r, tuple(ent), tuple(tuple(b) for b in buckets))
+        return Matrix._sparse(self.field, self.cols, self.rows, tuple(tuple(b) for b in buckets))
 
     def apply(self, vec: Sequence[ScalarValue]) -> tuple:
         """Matrix-vector product A v, with v a length-``cols`` tuple."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         f = self.field
-        p = f.characteristic if f.is_prime_field else None
+        p = f.characteristic
         zero = f.zero()
         out = []
-        for row in self.rows_nnz():
+        for row in self.nonzero_rows:
             s = sum(x * vec[j] for j, x in row)
             if s:
-                out.append(s % p if p is not None else Fraction(s))
+                out.append(Fraction(s) if p is None else s % p)
             else:
                 out.append(zero)
         return tuple(out)
@@ -378,12 +349,12 @@ class Matrix:
         if len(vec) != self.rows:
             raise ValueError("dimension mismatch")
         f = self.field
-        p = f.characteristic if f.is_prime_field else None
+        p = f.characteristic
         acc = [f.zero()] * self.cols
-        for i, a in enumerate(vec):
+        for a, row in zip(vec, self.nonzero_rows):
             if not a:
                 continue
-            for j, b in self.rows_nnz()[i]:
+            for j, b in row:
                 acc[j] = acc[j] + a * b
         if p is not None:
             return tuple(e % p for e in acc)
@@ -407,25 +378,14 @@ def matrix_from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> Matrix:
 
 
 def zeros(rows: int, cols: int, field: FieldSpec) -> Matrix:
-    return Matrix._seeded(
-        field,
-        rows,
-        cols,
-        tuple([field.zero()] * (rows * cols)),
-        tuple(() for _ in range(rows)),
-    )
+    return Matrix._sparse(field, rows, cols, ((),) * rows)
 
 
 def identity(r: int, field: FieldSpec) -> Matrix:
     if r < 1:
         raise ValueError("dimension must be positive")
-    zero, one = field.zero(), field.one()
-    ent = [zero] * (r * r)
-    for i in range(r):
-        ent[i * r + i] = one
-    return Matrix._seeded(
-        field, r, r, tuple(ent), tuple(((i, one),) for i in range(r))
-    )
+    one = field.one()
+    return Matrix._sparse(field, r, r, tuple(((i, one),) for i in range(r)))
 
 
 def elementary_matrix(r: int, i: int, j: int, field: FieldSpec) -> Matrix:
@@ -435,10 +395,7 @@ def elementary_matrix(r: int, i: int, j: int, field: FieldSpec) -> Matrix:
     if not (1 <= i <= r and 1 <= j <= r):
         raise IndexError(f"({i},{j}) outside 1..{r}")
     one = field.one()
-    ent = [field.zero()] * (r * r)
-    ent[(i - 1) * r + (j - 1)] = one
-    nnz = tuple(((j - 1, one),) if k == i - 1 else () for k in range(r))
-    return Matrix._seeded(field, r, r, tuple(ent), nnz)
+    return Matrix._sparse(field, r, r, tuple(((j - 1, one),) if k == i - 1 else () for k in range(r)))
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
@@ -450,18 +407,12 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
             raise ValueError("field mismatch")
         if not b.is_square:
             raise ValueError("blocks must be square")
-    dim = sum(b.rows for b in blocks)
-    zero = field.zero()
-    ent = [zero] * (dim * dim)
-    nnz = []
+    out = []
     off = 0
     for b in blocks:
-        for i in range(b.rows):
-            base = (off + i) * dim + off
-            ent[base : base + b.cols] = b.entries[i * b.cols : (i + 1) * b.cols]
-            nnz.append(tuple((off + j, x) for j, x in b.rows_nnz()[i]))
+        out.extend(tuple((off + j, x) for j, x in row) for row in b.nonzero_rows)
         off += b.rows
-    return Matrix._seeded(field, dim, dim, tuple(ent), tuple(nnz))
+    return Matrix._sparse(field, off, off, tuple(out))
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -607,13 +558,14 @@ def inverse(a: Matrix) -> Matrix:
     basis, pivots = _reduced_form(rows, 2 * n, field.characteristic)
     if pivots[-1] >= n:  # [A | I] has rank n, so a pivot right of A means A is singular
         raise ValueError("matrix is not invertible")
-    ent = []
-    for i, row in enumerate(basis):
-        if field.is_rationals:
-            ent.extend(Fraction(x, row[i]) for x in row[n:])
-        else:
-            ent.extend(row[n:])
-    return Matrix(field, n, n, tuple(ent))
+    if field.is_rationals:
+        out = tuple(
+            tuple((j, Fraction(x, row[i])) for j, x in enumerate(row[n:]) if x)
+            for i, row in enumerate(basis)
+        )
+    else:
+        out = tuple(_nonzero_row(row[n:]) for row in basis)
+    return Matrix._sparse(field, n, n, out)
 
 
 # -- JSON interchange -------------------------------------------------------

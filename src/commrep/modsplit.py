@@ -25,6 +25,7 @@ with S_j the set of columns where row j has an entry >= 2.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
@@ -141,19 +142,13 @@ def _factor_chain(spec: ModuleSpec):
     conjugated = [basis_inv @ g @ basis for g in spec.generators]
     for c in conjugated:  # invariance shows up as a zero lower-left block
         assert all(
-            c.entry(i, j) == 0 for i in range(w + 1, spec.dim + 1) for j in range(1, w + 1)
+            j >= w for row in c.nonzero_rows[w:] for j, _ in row
         ), "submodule basis failed to block-triangularize"
     quotient = ModuleSpec(
         spec.field,
         spec.dim - w,
         tuple(
-            matrix_from_rows(
-                spec.field,
-                [
-                    [c.entry(i, j) for j in range(w + 1, spec.dim + 1)]
-                    for i in range(w + 1, spec.dim + 1)
-                ],
-            )
+            matrix_from_rows(spec.field, [row[w:] for row in c.rows_list()[w:]])
             for c in conjugated
         ),
     )
@@ -169,11 +164,12 @@ def composition_factor_dims(spec: ModuleSpec) -> CompositionReport:
     flag_inv = inverse(flag)
     for g in spec.generators:
         c = flag_inv @ g @ flag
-        for bi, start in enumerate(series[:-1]):
-            end = series[bi + 1]
-            for i in range(end + 1, spec.dim + 1):
-                for j in range(start + 1, end + 1):
-                    assert c.entry(i, j) == 0, "flag basis is not block-upper-triangular"
+        # bisect(series, k) numbers the block holding 0-based index k
+        assert all(
+            bisect(series, i) <= bisect(series, j)
+            for i, row in enumerate(c.nonzero_rows)
+            for j, _ in row
+        ), "flag basis is not block-upper-triangular"
     return CompositionReport(factor_dims=dims, series=series, flag_basis=flag)
 
 

@@ -6,11 +6,12 @@ soon as one commutation constraint fails.  Candidates are enumerated by
 their row-major entry tuple as a base-p counter (the zero matrix first), so
 results are reproducible byte for byte.
 
-The sweep is partitioned by the first vertex's candidate.  Each partition
-gets a fixed slice of the node budget and explores to its own completion,
-so every count depends only on the inputs.  The merge takes the witness
-from the lowest-numbered partition that found one, which is the first
-witness in global candidate order.
+The sweep is partitioned by the first vertex's candidate.  Partitions run
+in candidate order, each with a fixed slice of the node budget, and the
+sweep stops at the first partition that finds a witness, which is the first
+witness in global candidate order.  ``nodes`` (``nodes_explored`` in a
+report) counts the constraint checks made up to that witness, or to the end
+of the sweep when there is none, so every count depends only on the inputs.
 
 ``min_realization_dim`` ascends r = 1, 2, ... with a worst-case feasibility
 precheck per level; levels it cannot afford to sweep are never reported as
@@ -26,7 +27,7 @@ from typing import Optional
 
 from .commgraph import Assignment, CommGraph, graph_to_json, realizes
 from .errors import InvalidHintError
-from .exactla import FieldSpec, Matrix, is_invertible
+from .exactla import FieldSpec, Matrix, _reduced_form, block_diagonal, zeros
 
 FOUND = "found"
 NONE = "none"
@@ -80,9 +81,11 @@ def matching_lower_bound(graph: CommGraph) -> Optional[int]:
 
 
 def _candidates(r: int, field: FieldSpec, mode: str):
-    cands = list(itertools.product(range(field.characteristic), repeat=r * r))
+    p = field.characteristic
+    cands = list(itertools.product(range(p), repeat=r * r))
     if mode == MODE_INVERTIBLE:
-        cands = [c for c in cands if is_invertible(Matrix(field, r, r, c))]
+        rows = range(0, r * r, r)
+        cands = [c for c in cands if len(_reduced_form([c[i : i + r] for i in rows], r, p)[1]) == r]
     return cands
 
 
@@ -184,23 +187,17 @@ def exists_realization(
 
     n_parts = len(candidates)
     share, extra = divmod(max(budget, 0), n_parts)
-    results = [
-        _Partition(graph, candidates, r, p, share + (1 if k < extra else 0)).run(k)
-        for k in range(n_parts)
-    ]
-
-    nodes = sum(res[2] for res in results)
-    witness = None
-    for status, found, _ in results:
+    nodes = 0
+    exceeded = False
+    for k in range(n_parts):
+        part = _Partition(graph, candidates, r, p, share + (1 if k < extra else 0))
+        status, found, used = part.run(k)
+        nodes += used
         if status == FOUND:
-            mats = tuple(_tuple_to_matrix(c, r, field) for c in found)
-            witness = Assignment(mats)
-            break
-    if witness is not None:
-        return ExistsOutcome(FOUND, witness, nodes)
-    if any(res[0] == BUDGET_EXCEEDED for res in results):
-        return ExistsOutcome(BUDGET_EXCEEDED, None, nodes)
-    return ExistsOutcome(NONE, None, nodes)
+            witness = Assignment(tuple(_tuple_to_matrix(c, r, field) for c in found))
+            return ExistsOutcome(FOUND, witness, nodes)
+        exceeded = exceeded or status == BUDGET_EXCEEDED
+    return ExistsOutcome(BUDGET_EXCEEDED if exceeded else NONE, None, nodes)
 
 
 def _tuple_to_matrix(entries, r, field) -> Matrix:
@@ -318,18 +315,8 @@ def pad_assignment(assignment: Assignment, extra: int) -> Assignment:
     """Pad every matrix with an extra zero block; preserves the realization."""
     if extra < 1:
         return assignment
-    field = assignment.field
-    r = assignment.dimension
-    out = []
-    for m in assignment.matrices:
-        zero = field.zero()
-        ent = []
-        for i in range(r):
-            ent.extend(m.entries[i * r : (i + 1) * r])
-            ent.extend([zero] * extra)
-        ent.extend([zero] * ((r + extra) * extra))
-        out.append(Matrix(field, r + extra, r + extra, tuple(ent)))
-    return Assignment(tuple(out))
+    pad = zeros(extra, extra, assignment.field)
+    return Assignment(tuple(block_diagonal([m, pad]) for m in assignment.matrices))
 
 
 # -- JSON -----------------------------------------------------------------------

@@ -73,6 +73,14 @@ def test_two_pairs_impossible_in_dimension_two():
     assert out.nodes > 0
 
 
+def test_sweep_stops_at_the_first_witness():
+    # both witnesses lie in partition 1; sweeping every partition costs 160 and 411
+    path = exists_realization(CommGraph.make(3, [(1, 2), (2, 3)]), GF(2), 2)
+    pair = exists_realization(matching_graph(1), GF(3), 2)
+    assert (path.status, path.nodes) == (FOUND, 23)
+    assert (pair.status, pair.nodes) == (FOUND, 85)
+
+
 def test_budget_exceeded_reported_distinctly():
     out = exists_realization(matching_graph(2), GF(2), 2, budget=10)
     assert out.status == BUDGET_EXCEEDED
