@@ -27,6 +27,8 @@ and small fields are refused instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .commgraph import Assignment, matching_graph, realizes
@@ -34,6 +36,8 @@ from .errors import FieldTooSmallError, PatternViolationError, SchemaError, json
 from .exactla import (
     FieldSpec,
     Matrix,
+    _integer_nonzero_rows,
+    _integer_rows,
     commutator,
     dot,
     matrix_from_rows,
@@ -121,37 +125,46 @@ def find_avoiding_vector(constraints: Sequence[Matrix], dim: int, field: FieldSp
     identically on its subgrid, and every extendable prefix has an extendable
     child.  Over F_p the digits must be distinct field elements, hence the
     p > c precondition.
+
+    The descent runs on plain integers.  Over Q each constraint is first
+    scaled by the lcm of its denominators, a nonzero multiple that vanishes
+    on the same vectors; over F_p the partial products are reduced mod p.
+    Only the chosen digits become field scalars.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     c = len(constraints)
-    if field.is_prime_field and field.characteristic <= c:
-        raise FieldTooSmallError(
-            f"need p > {c} grid digits, got p = {field.characteristic}"
-        )
+    p = field.characteristic
+    if p is not None and p <= c:
+        raise FieldTooSmallError(f"need p > {c} grid digits, got p = {p}")
     for k, m in enumerate(constraints):
         if m.cols != dim:
             raise ValueError(f"constraint {k} has {m.cols} columns, expected {dim}")
         if m.is_zero():
             raise ValueError(f"constraint {k} is the zero matrix")
 
-    digits = [field.scalar(d) for d in range(c + 1)]
     # last column (1-based) holding a nonzero entry, per constraint; rows are column-ordered
     last_nonzero = [max(row[-1][0] for row in m.nonzero_rows if row) + 1 for m in constraints]
-    columns = [m.transpose().rows_list() for m in constraints]
+    # columns[k][j]: the (row, value) pairs of the nonzero entries of column j of constraint k
+    columns = [m.transpose().nonzero_rows for m in constraints]
+    if p is None:
+        columns = [_integer_nonzero_rows(cols)[0] for cols in columns]
 
-    offsets = [tuple([field.zero()] * m.rows) for m in constraints]
+    # offsets[k]: the (scaled) M_k times the chosen prefix padded with zeros
+    offsets = [[0] * m.rows for m in constraints]
     chosen = []
     for col in range(1, dim + 1):
-        for d in digits:
+        for d in range(c + 1):
             trial = []
             ok = True
             for k in range(c):
-                colvec = columns[k][col - 1]
-                if d:
-                    off = tuple(field.add(o, field.mul(d, x)) for o, x in zip(offsets[k], colvec))
-                else:
-                    off = offsets[k]
+                off = offsets[k]
+                entries = columns[k][col - 1]
+                if d and entries:
+                    off = off.copy()
+                    for i, x in entries:
+                        y = off[i] + d * x
+                        off[i] = y if p is None else y % p
                 trial.append(off)
                 if last_nonzero[k] <= col and not any(off):
                     ok = False
@@ -162,7 +175,7 @@ def find_avoiding_vector(constraints: Sequence[Matrix], dim: int, field: FieldSp
                 break
         else:  # unreachable: the covering bound guarantees a digit
             raise AssertionError("grid descent found no extendable digit")
-    return tuple(chosen)
+    return tuple(field.scalar(d) for d in chosen)
 
 
 def _row_matrix(vec: tuple, field: FieldSpec) -> Matrix:
@@ -183,19 +196,34 @@ def _split_pairs(pairs) -> tuple:
 
 
 def _gram_entries(basis, v, alpha, field):
-    """alpha([x_i, x_j] v) for all i, j via vector products only.
+    """(rows, xv): the Gram rows alpha([x_i, x_j] v) and the images x_i v.
 
-    alpha([x, y] v) = (alpha^T x) . (y v) - (alpha^T y) . (x v).
+    alpha([x, y] v) = (alpha^T x) . (y v) - (alpha^T y) . (x v), so with
+    P[i][j] = (alpha^T x_i) . (x_j v) the Gram matrix is P - P^T.  Over Q the
+    vectors alpha^T x_i and x_j v are scaled to integers by the lcms d and e
+    of their denominators, P is one integer product, and each entry above the
+    diagonal is the one fraction (P[i][j] - P[j][i]) / (d e); over F_p, P is
+    reduced mod p.  The form is alternating as an identity, so each entry
+    below the diagonal is the negated entry above it and the diagonal is zero.
     """
     xv = [m.apply(v) for m in basis]
     ax = [m.apply_left(alpha) for m in basis]
+    p = field.characteristic
+    if p is None:
+        left, d = _integer_rows(ax)
+        right, e = _integer_rows(xv)
+        den = d * e
+    else:
+        left, right = ax, xv
+    prod = [[sum(map(mul, a, b)) for b in right] for a in left]
     size = len(basis)
-    rows = []
+    rows = [[field.zero()] * size for _ in range(size)]
     for i in range(size):
-        row = []
-        for j in range(size):
-            row.append(field.sub(dot(ax[i], xv[j], field), dot(ax[j], xv[i], field)))
-        rows.append(row)
+        for j in range(i + 1, size):
+            g = prod[i][j] - prod[j][i]
+            if g:
+                rows[i][j] = Fraction(g, den) if p is None else g % p
+                rows[j][i] = -rows[i][j] if p is None else -g % p
     return rows, xv
 
 

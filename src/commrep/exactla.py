@@ -11,6 +11,13 @@ the matrices this package computes with: the sharp witness in dimension n+1
 has O(n) nonzeros, not (n+1)^2.  Sums, products and transposes do Python
 work on nonzero entries only; dense row-major views are built on request.
 
+Hot loops over Q run on integers, not on ``Fraction`` scalars: a block of
+rationals is multiplied by the lcm of its denominators (``_integer_rows``,
+``_integer_nonzero_rows``), the loop adds and multiplies plain ints, and a
+fraction is formed once per result entry.  Products do this per factor,
+elimination per row, and ``certificate`` uses the same helpers for its Gram
+matrix and grid descent.
+
 Indices in the public API are 1-based, matching the usual E_{i,j} notation
 for elementary matrices; storage is 0-based internally.
 
@@ -173,6 +180,21 @@ def _nonzero_row(values) -> tuple:
     return tuple((j, x) for j, x in enumerate(values) if x)
 
 
+def _integer_rows(rows) -> tuple:
+    """(rows, m): rational rows times m, the lcm of all their denominators."""
+    m = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (m // x.denominator) for x in row] for row in rows], m
+
+
+def _integer_nonzero_rows(nonzero_rows) -> tuple:
+    """(rows, m): rational nonzero rows times m, the lcm of all their denominators.
+
+    The scaled rows hold the same (column, value) pairs with integer values.
+    """
+    m = math.lcm(*(x.denominator for row in nonzero_rows for _, x in row))
+    return [[(j, x.numerator * (m // x.denominator)) for j, x in row] for row in nonzero_rows], m
+
+
 def _sorted_row(acc: dict, p: Optional[int]) -> tuple:
     """Column-ordered nonzero pairs of a {column: value} row, reduced mod p over F_p."""
     out = []
@@ -302,14 +324,25 @@ class Matrix:
         return Matrix._sparse(f, self.rows, self.cols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Product over the nonzero entries.
+
+        Over Q each factor is scaled to integers by the lcm of its
+        denominators, da and db; the products accumulate as integers and each
+        nonzero output entry becomes one fraction acc / (da db).  Over F_p the
+        residues accumulate and each output entry is reduced mod p once.
+        """
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         p = self.field.characteristic
-        brows = other.nonzero_rows
+        arows, brows = self.nonzero_rows, other.nonzero_rows
+        if p is None:
+            arows, da = _integer_nonzero_rows(arows)
+            brows, db = _integer_nonzero_rows(brows)
+            den = da * db
         out = []
-        for arow in self.nonzero_rows:
+        for arow in arows:
             acc = {}
             for k, a in arow:
                 for j, b in brows[k]:
@@ -318,7 +351,10 @@ class Matrix:
                         acc[j] = acc[j] + prod
                     else:
                         acc[j] = prod
-            out.append(_sorted_row(acc, p))
+            if p is None:
+                out.append(tuple((j, Fraction(acc[j], den)) for j in sorted(acc) if acc[j]))
+            else:
+                out.append(_sorted_row(acc, p))
         return Matrix._sparse(self.field, self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -433,8 +469,7 @@ def _integer_row(row: Sequence[ScalarValue], field: FieldSpec) -> list:
     Row scaling by positive constants preserves rank and null space.
     """
     if field.is_rationals:
-        m = math.lcm(*(x.denominator for x in row))
-        return [int(x * m) for x in row]
+        return _integer_rows((row,))[0][0]
     return list(row)
 
 

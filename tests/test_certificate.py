@@ -34,19 +34,20 @@ from commrep.exactla import (
 )
 from commrep.witness import sharp_witness
 
-from conftest import square_matrix_of
+from conftest import big_fractions, small_fractions
 
 
 def F(x):
     return Fraction(x)
 
 
-def _brute_force_avoiding(constraints, dim, field):
-    # independent oracle: plain lexicographic enumeration of the whole grid
-    c = len(constraints)
+def _brute_force_avoiding(constraints, dim, field, c=None):
+    # independent oracle: plain lexicographic enumeration of the whole grid {0..c}^dim,
+    # with c = len(constraints) unless given
+    c = len(constraints) if c is None else c
     digits = [field.scalar(d) for d in range(c + 1)]
     for cand in itertools.product(digits, repeat=dim):
-        if all(any(m.apply(cand)) for m in constraints):
+        if any(cand) and all(any(m.apply(cand)) for m in constraints):
             return cand
     return None
 
@@ -55,6 +56,12 @@ def test_avoiding_vector_hand_examples():
     m = matrix_from_rows(QQ, [[0, -2], [0, 0]])
     assert find_avoiding_vector([m], 2, QQ) == (F(0), F(1))
     assert find_avoiding_vector([identity(2, QQ)], 2, QQ) == (F(0), F(1))
+    # over F_5 the row (1, 4) vanishes on (1, 1), although 1 + 4 is not 0 as an integer
+    rows = [[1, 0]], [[0, 1]], [[1, 4]]
+    assert find_avoiding_vector([matrix_from_rows(GF(5), r) for r in rows], 2, GF(5)) == (1, 2)
+    # the row (1, -1/2) vanishes on (1, 2) only if its entries are scaled by one factor
+    rows = [[1, 0]], [[0, 1]], [[1, Fraction(-1, 2)]], [[1, -1]]
+    assert find_avoiding_vector([matrix_from_rows(QQ, r) for r in rows], 2, QQ) == (F(1), F(3))
 
 
 def test_avoiding_vector_field_too_small():
@@ -69,19 +76,42 @@ def test_avoiding_vector_rejects_zero_constraint():
         find_avoiding_vector([z], 2, QQ)
 
 
-@settings(max_examples=60, deadline=None)
+def _vanishing_row(row, g, field):
+    """``row`` with its last entry on the support of ``g`` solved so that row . g = 0."""
+    t = max(k for k, x in enumerate(g) if x)
+    rest = sum(x * y for k, (x, y) in enumerate(zip(row, g)) if k != t)
+    return row[:t] + [field.scalar(-rest) * field.inv(field.scalar(g[t]))] + row[t + 1 :]
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_avoiding_vector_matches_brute_force(data):
-    field = data.draw(st.sampled_from([QQ, GF(5), GF(7)]))
+    field, values = data.draw(st.sampled_from(
+        [(QQ, small_fractions), (QQ, big_fractions), (GF(5), None), (GF(7), None)]
+    ))
+    if values is None:
+        values = st.integers(min_value=0, max_value=field.characteristic - 1)
+    entries = st.one_of(st.just(0), values).map(field.scalar)
     dim = data.draw(st.integers(min_value=1, max_value=3))
-    count = data.draw(st.integers(min_value=1, max_value=3))
-    constraints = [
-        m if not m.is_zero() else identity(dim, field)
-        for m in (data.draw(square_matrix_of(field, dim)) for _ in range(count))
-    ]
+    count = data.draw(st.integers(min_value=1, max_value=4))
+    constraints = []
+    for _ in range(count):
+        # square constraints as in the search for v, 1 x dim rows as in the search for alpha
+        height = data.draw(st.sampled_from([dim, 1]))
+        rows = data.draw(
+            st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=height, max_size=height)
+        )
+        # vanish on the grid vector the constraints so far would choose, so the descent
+        # must move past it; over Q the solved entries carry new denominators, over F_p
+        # the products wrap around p
+        g = _brute_force_avoiding(constraints, dim, field, count)
+        rows = [_vanishing_row(row, g, field) for row in rows]
+        m = matrix_from_rows(field, rows)
+        constraints.append(m if not m.is_zero() else identity(dim, field))
     got = find_avoiding_vector(constraints, dim, field)
     assert got == _brute_force_avoiding(constraints, dim, field)
     assert all(any(m.apply(got)) for m in constraints)
+    assert all(type(x) is type(field.zero()) for x in got)
 
 
 def test_certificate_n1_trace():
