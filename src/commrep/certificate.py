@@ -178,8 +178,9 @@ def find_avoiding_vector(constraints: Sequence[Matrix], dim: int, field: FieldSp
     return tuple(field.scalar(d) for d in chosen)
 
 
-def _row_matrix(vec: tuple, field: FieldSpec) -> Matrix:
-    return matrix_from_rows(field, [list(vec)])
+def _canonical_matrix(rows: Sequence[Sequence], field: FieldSpec) -> Matrix:
+    """Matrix from rows that already hold canonical scalars of ``field``."""
+    return Matrix(field, len(rows), len(rows[0]), [x for row in rows for x in row])
 
 
 def _split_pairs(pairs) -> tuple:
@@ -255,12 +256,12 @@ def build_certificate(pairs: Sequence) -> LowerBoundCertificate:
 
     z = tuple(commutator(a, b) for a, b in zip(a_list, b_list))
     v = find_avoiding_vector(list(z), r, field)
-    dual = [_row_matrix(v, field)] + [_row_matrix(zi.apply(v), field) for zi in z]
+    dual = [_canonical_matrix([v], field)] + [_canonical_matrix([zi.apply(v)], field) for zi in z]
     alpha = find_avoiding_vector(dual, r, field)
 
     basis = a_list + b_list
     gram_rows, xv = _gram_entries(basis, v, alpha, field)
-    gram = matrix_from_rows(field, gram_rows)
+    gram = _canonical_matrix(gram_rows, field)
     image_rank = span_rank([v] + xv, field)
 
     cert = LowerBoundCertificate(
@@ -321,7 +322,7 @@ def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> Verifica
 
     basis = a_list + b_list
     gram_rows, xv = _gram_entries(basis, cert.v, cert.alpha, field)
-    expected_gram = matrix_from_rows(field, gram_rows)
+    expected_gram = _canonical_matrix(gram_rows, field)
     if cert.gram.rows != 2 * n or cert.gram.cols != 2 * n or cert.gram.field != field:
         reasons.append(REASON_GRAM_MISMATCH)
     else:

@@ -2,23 +2,24 @@
 
 ``realizes`` decides whether a matrix assignment has exactly the commutation
 pattern a graph prescribes: adjacent vertices get non-commuting matrices,
-non-adjacent vertices get commuting ones.  The all-pairs check runs on an
-integer tensor (denominators cleared per matrix, which preserves which
-commutators vanish) through a single sparse product; a 64-bit overflow guard
-falls back to per-pair exact arithmetic.
+non-adjacent vertices get commuting ones.  The all-pairs check shifts each
+matrix by its most common diagonal entry and clears its denominators, which
+changes no commutator's vanishing, and then multiplies only the pairs whose
+supports interact, each densely on the union of the two supports, in int64
+when no product entry can overflow it and in Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SchemaError, json_int
-from .exactla import FieldSpec, Matrix, commutator
+from .exactla import FieldSpec, Matrix
 
 _INT64_SAFE = 2**62
 
@@ -112,88 +113,73 @@ class RealizationCheck:
     violations: tuple  # of PairStatus, exhaustive
 
 
-def _integer_tensor(matrices: Sequence[Matrix]) -> tuple:
-    """(values, positions, maxabs) with each matrix scaled to integers.
+def _shifted_integer_entries(a: Matrix) -> tuple:
+    """(rows, cols, values) of the nonzero entries of dA - cI, all integers.
 
-    Over Q each matrix is scaled by the lcm of its nonzero denominators;
-    scaling by a nonzero constant does not change which commutators vanish,
-    since [cA, dB] = cd [A, B].
+    Over Q, d is the lcm of the denominators of A, and [dA, B] = d [A, B]
+    vanishes with [A, B]; over F_p, d = 1 and the values are residues.  c is
+    the most common diagonal entry of dA, so a scalar-plus-sparse matrix keeps
+    only its sparse part, and [A - cI, B] = [A, B].
     """
-    rationals = matrices[0].field.is_rationals
-    per_matrix = []
-    maxabs = 0
-    for k, a in enumerate(matrices):
-        nnz = a.nonzero_rows
-        d = 1
-        if rationals and any(nnz):
-            d = math.lcm(*(x.denominator for row in nnz for _, x in row))
-        triples = []
-        for i, row in enumerate(nnz):
-            for j, x in row:
-                if rationals:
-                    val = x.numerator if d == 1 else int(x * d)
-                else:
-                    val = int(x)
-                triples.append((i, j, val))
-                if abs(val) > maxabs:
-                    maxabs = abs(val)
-        per_matrix.append(triples)
-    return per_matrix, maxabs
+    p = a.field.characteristic
+    entries = {(i, j): x for i, row in enumerate(a.nonzero_rows) for j, x in row}
+    if p is None:
+        d = math.lcm(*(x.denominator for x in entries.values()))
+        entries = {key: x.numerator * (d // x.denominator) for key, x in entries.items()}
+    diagonal = [entries.get((i, i), 0) for i in range(a.rows)]
+    c = Counter(diagonal).most_common(1)[0][0]
+    if c:
+        for i, x in enumerate(diagonal):
+            if x == c:
+                del entries[i, i]
+            else:
+                entries[i, i] = x - c if p is None else (x - c) % p
+    rows = np.array([i for i, _ in entries], dtype=np.intp)
+    cols = np.array([j for _, j in entries], dtype=np.intp)
+    return rows, cols, list(entries.values())
 
 
 def noncommuting_pairs(matrices: Sequence[Matrix]) -> np.ndarray:
-    """Boolean m x m array: True where the two matrices do not commute."""
+    """Boolean m x m array: True where the two matrices do not commute.
+
+    Each matrix is replaced by ``_shifted_integer_entries``.  Both products of
+    a pair vanish unless the column support of one meets the row support of
+    the other, so only the pairs that pass this test are multiplied, densely
+    on the union of their supports.  Entries are int64 when no product entry
+    (at most r M^2, M the largest absolute value) can overflow it, and Python
+    ints otherwise.
+    """
     m = len(matrices)
     r = matrices[0].rows
-    field = matrices[0].field
-    p = field.characteristic if field.is_prime_field else None
+    p = matrices[0].field.characteristic
+    shifted = [_shifted_integer_entries(a) for a in matrices]
+    maxabs = max((abs(x) for _, _, values in shifted for x in values), default=0)
+    dtype = np.int64 if r * maxabs * maxabs < _INT64_SAFE else object
+    shifted = [(rows, cols, np.array(values, dtype=dtype)) for rows, cols, values in shifted]
+    in_rows = np.zeros((m, r), dtype=bool)
+    in_cols = np.zeros((m, r), dtype=bool)
+    for k, (rows, cols, _) in enumerate(shifted):
+        in_rows[k, rows] = True
+        in_cols[k, cols] = True
+    meets = in_cols.astype(float) @ in_rows.T.astype(float) > 0  # [a, b]: C_a meets R_b
+    supports = in_rows | in_cols
+    position = np.zeros(r, dtype=np.intp)  # index within the current pair's support
 
-    per_matrix, maxabs = _integer_tensor(matrices)
-    if p is not None:
-        maxabs = p - 1
-    if maxabs and r * maxabs * maxabs >= _INT64_SAFE:
-        return _noncommuting_pairs_bigint(matrices)
+    def on_support(k, size):
+        rows, cols, values = shifted[k]
+        dense = np.zeros((size, size), dtype=dtype)
+        dense[position[rows], position[cols]] = values
+        return dense
 
-    T = np.zeros((m, r, r), dtype=np.int64)
-    for k, triples in enumerate(per_matrix):
-        for i, j, val in triples:
-            T[k, i, j] = val
-    if p is not None:
-        T %= p
-    if m * r <= 128:
-        # dense is cheaper than sparse setup at small sizes
-        X = T.reshape(m * r, r)
-        Y = T.transpose(1, 0, 2).reshape(r, m * r)
-        Z = X @ Y
+    mask = np.zeros((m, m), dtype=bool)
+    for a, b in zip(*np.nonzero(np.triu(meets | meets.T, 1))):
+        support = np.flatnonzero(supports[a] | supports[b])
+        position[support] = np.arange(len(support))
+        x, y = on_support(a, len(support)), on_support(b, len(support))
+        z = x @ y - y @ x
         if p is not None:
-            Z %= p
-        Z4 = Z.reshape(m, r, m, r)
-        return (Z4 != Z4.transpose(2, 1, 0, 3)).any(axis=(1, 3))
-
-    X = sp.csr_matrix(T.reshape(m * r, r))
-    Y = sp.csr_matrix(T.transpose(1, 0, 2).reshape(r, m * r))
-    Z = (X @ Y).tocoo()
-    data = Z.data % p if p is not None else Z.data
-    Zc = sp.coo_matrix((data, (Z.row, Z.col)), shape=Z.shape)
-    # block transpose: entry ((u,i),(v,j)) of the swapped product lives at ((v,i),(u,j))
-    u, i = Z.row // r, Z.row % r
-    v, j = Z.col // r, Z.col % r
-    Zt = sp.coo_matrix((data, (v * r + i, u * r + j)), shape=Z.shape)
-    D = (Zc.tocsr() - Zt.tocsr()).tocoo()
-    mask = np.zeros((m, m), dtype=bool)
-    nz = D.data != 0
-    mask[D.row[nz] // r, D.col[nz] // r] = True
-    return mask
-
-
-def _noncommuting_pairs_bigint(matrices: Sequence[Matrix]) -> np.ndarray:
-    """Exact fallback for entries too large for the int64 fast path."""
-    m = len(matrices)
-    mask = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(a + 1, m):
-            bad = not commutator(matrices[a], matrices[b]).is_zero()
-            mask[a, b] = mask[b, a] = bad
+            z %= p
+        mask[a, b] = mask[b, a] = bool(np.count_nonzero(z))
     return mask
 
 

@@ -365,19 +365,27 @@ class Matrix:
         return Matrix._sparse(self.field, self.cols, self.rows, tuple(tuple(b) for b in buckets))
 
     def apply(self, vec: Sequence[ScalarValue]) -> tuple:
-        """Matrix-vector product A v, with v a length-``cols`` tuple."""
+        """Matrix-vector product A v, with v a length-``cols`` tuple.
+
+        Over Q the matrix and the vector are scaled to integers by the lcms of
+        their denominators, d and e; each row sum accumulates as an integer
+        and a nonzero one becomes the one fraction sum / (d e).
+        """
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        f = self.field
-        p = f.characteristic
-        zero = f.zero()
+        p = self.field.characteristic
+        rows = self.nonzero_rows
+        if p is None:
+            rows, d = _integer_nonzero_rows(rows)
+            (vec,), e = _integer_rows([vec])
+            den = d * e
         out = []
-        for row in self.nonzero_rows:
+        for row in rows:
             s = sum(x * vec[j] for j, x in row)
-            if s:
-                out.append(Fraction(s) if p is None else s % p)
+            if p is not None:
+                out.append(s % p)
             else:
-                out.append(zero)
+                out.append(Fraction(s, den) if s else _Q_ZERO)
         return tuple(out)
 
     def apply_left(self, vec: Sequence[ScalarValue]) -> tuple:

@@ -1,6 +1,7 @@
 """Graph realization predicate: examples, oracle cross-check, invariances."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,8 +30,9 @@ from commrep.exactla import (
     matrix_from_rows,
     zeros,
 )
+from commrep.witness import sharp_witness
 
-from conftest import square_matrix_of
+from conftest import small_fractions, square_matrix_of
 
 
 def test_graph_validation():
@@ -78,14 +80,31 @@ def test_length_mismatch_errors():
         realizes(a, matching_graph(1))
 
 
-@settings(max_examples=40)
+@st.composite
+def scalar_plus_sparse(draw, field, n, entries):
+    """c I plus up to n drawn entries, c != 0; diagonal values may tie in count."""
+    m = identity(n, field).scale(draw(entries.filter(bool)))
+    for _ in range(draw(st.integers(min_value=0, max_value=n))):
+        i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+        m = m + elementary_matrix(n, i, j, field).scale(draw(entries))
+    return m
+
+
+@settings(max_examples=100)
 @given(st.data())
 def test_mask_matches_per_pair_commutators(data):
     # oracle: the vectorized mask must agree with exact pairwise commutators
-    field = data.draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    field = data.draw(st.sampled_from([QQ, GF(2), GF(5), GF(2**61 - 1)]))
     n = data.draw(st.integers(min_value=1, max_value=3))
     count = data.draw(st.integers(min_value=1, max_value=5))
-    mats = [data.draw(square_matrix_of(field, n)) for _ in range(count)]
+    if field.is_rationals:
+        # 2**k up to 2**64 puts r M^2 on both sides of the int64 bound
+        k = data.draw(st.sampled_from(range(0, 65, 4)))
+        entries = small_fractions.map(lambda x: x * 2**k)
+    else:
+        entries = st.integers(min_value=0, max_value=field.characteristic - 1)
+    shapes = st.sampled_from([square_matrix_of, scalar_plus_sparse])
+    mats = [data.draw(data.draw(shapes)(field, n, entries)) for _ in range(count)]
     mask = noncommuting_pairs(mats)
     for i in range(count):
         for j in range(count):
@@ -102,6 +121,19 @@ def test_mask_bigint_path_matches():
     assert bool(mask[0, 1]) is True
     assert bool(mask[0, 2]) is False
     assert bool(mask[1, 2]) is False
+
+
+def test_realizes_n200_witness_in_bounded_memory():
+    n = 200
+    witness, graph = sharp_witness(n, 2, QQ), matching_graph(n)
+    tracemalloc.start()
+    try:
+        check = realizes(witness, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.ok
+    assert peak < 300 * 2**20
 
 
 @settings(max_examples=30)
