@@ -1,32 +1,36 @@
 #!/usr/bin/env python3
-"""Survey the minimal realization dimension of every graph on up to 4 vertices.
+"""Survey the minimal realization dimension of every graph on up to 6 vertices.
 
-For each edge set the search excludes small dimensions exhaustively over F_2
-and takes an upper bound from an explicit witness:
+The survey runs one graph per isomorphism class: the labelled graph whose
+edge set, read as a bitmask over the vertex pairs in lexicographic order, is
+the smallest in its class (found by trying every vertex permutation).  For
+each class the search excludes small dimensions exhaustively over F_p and
+takes an upper bound from an explicit witness:
 
   * perfect matchings get the sharp (n+1)-dimensional construction;
   * every other graph gets the generic (m+1)-dimensional assignment
     M_v = E_{1,v+1} + sum over earlier neighbours u of E_{u+1,v+1},
     for which [M_u, M_v] is nonzero exactly on edges.
 
-The per-vertex-count maxima are then compared against the proved window
-floor(m/2)+1 .. m+1 for the worst graph on m vertices.
+Each vertex count ends with how many classes need each dimension, and the
+worst graph is compared against the proved window floor(m/2)+1 .. m+1.
 
-Usage: python3 scripts/min_dim_survey.py [--max-vertices 4] [--budget 50000000]
+Usage: python3 scripts/min_dim_survey.py [--max-vertices 4] [--field Fp:2] [--budget 50000000]
 """
 
 import argparse
 import itertools
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from commrep import (  # noqa: E402
-    GF,
     Assignment,
     CommGraph,
+    FieldSpec,
     elementary_matrix,
     matching_lower_bound,
     min_realization_dim,
@@ -68,15 +72,28 @@ def best_hint(graph: CommGraph, field) -> Assignment:
     return generic_witness(graph, field)
 
 
-def survey(max_vertices: int, budget: int):
-    field = GF(2)
-    print(f"graph survey over F_2, budget {budget} nodes per graph")
+def isomorphism_classes(m: int):
+    """Edge lists of the graphs on 1..m, one per isomorphism class, smallest bitmask first."""
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    position = {pair: i for i, pair in enumerate(pairs)}
+    relabellings = [
+        [position[tuple(sorted((perm[u - 1], perm[v - 1])))] for u, v in pairs]
+        for perm in itertools.permutations(range(1, m + 1))
+    ]
+    seen = set()
+    for bits in range(2 ** len(pairs)):
+        if bits not in seen:
+            members = [i for i in range(len(pairs)) if bits >> i & 1]
+            seen.update(sum(1 << image[i] for i in members) for image in relabellings)
+            yield [pairs[i] for i in members]
+
+
+def survey(max_vertices: int, field, budget: int):
+    print(f"graph survey over {field.name()}, one graph per isomorphism class, budget {budget} nodes per graph")
     for m in range(1, max_vertices + 1):
-        pairs = list(itertools.combinations(range(1, m + 1), 2))
         lows, ups = [], []
         t0 = time.time()
-        for bits in range(2 ** len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+        for edges in isomorphism_classes(m):
             graph = CommGraph.make(m, edges)
             report = min_realization_dim(
                 graph, field, r_max=m + 1, budget=budget, hint=best_hint(graph, field)
@@ -91,20 +108,38 @@ def survey(max_vertices: int, budget: int):
             print(f"  m={m} edges={edges or '[]'}: {tag}")
         worst_low, worst_up = max(lows), max(ups)
         window = f"{m // 2 + 1} .. {m + 1}"
+        needs = Counter(low for low, up in zip(lows, ups) if low == up)
+        still_open = len(lows) - sum(needs.values())
         print(
-            f"m={m}: worst graph needs {worst_low}"
+            f"m={m}: {len(lows)} classes, "
+            + ", ".join(f"{needs[r]} need {r}" for r in sorted(needs))
+            + (f", {still_open} open" if still_open else "")
+            + f"; worst graph needs {worst_low}"
             + ("" if worst_low == worst_up else f" .. {worst_up}")
             + f"; proved window for the worst graph: {window}"
             + f"  ({time.time() - t0:.1f}s)"
         )
 
 
+def finite_field(name: str) -> FieldSpec:
+    try:
+        field = FieldSpec.from_name(name)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    if field.is_rationals:
+        raise argparse.ArgumentTypeError("the survey needs a finite field, e.g. Fp:2")
+    return field
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-vertices", type=int, default=4)
+    ap.add_argument("--field", type=finite_field, default=FieldSpec.prime_field(2))
     ap.add_argument("--budget", type=int, default=5 * 10**7)
     args = ap.parse_args()
-    survey(args.max_vertices, args.budget)
+    if not 1 <= args.max_vertices <= 6:
+        ap.error("--max-vertices must be between 1 and 6: the canonical labelling tries every permutation")
+    survey(args.max_vertices, args.field, args.budget)
 
 
 if __name__ == "__main__":

@@ -190,14 +190,14 @@ def realizes(assignment: Assignment, graph: CommGraph) -> RealizationCheck:
             f"assignment has {len(assignment)} matrices for {graph.vertex_count} vertices"
         )
     mask = noncommuting_pairs(assignment.matrices)
-    violations = []
-    for u in range(1, graph.vertex_count + 1):
-        for v in range(u + 1, graph.vertex_count + 1):
-            edge = graph.has_edge(u, v)
-            noncomm = bool(mask[u - 1, v - 1])
-            if edge != noncomm:
-                violations.append(PairStatus(u, v, edge, not noncomm))
-    return RealizationCheck(not violations, tuple(violations))
+    adjacency = np.zeros_like(mask)
+    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2) - 1
+    adjacency[edges[:, 0], edges[:, 1]] = True  # upper triangle, as u < v
+    violations = tuple(
+        PairStatus(int(u) + 1, int(v) + 1, bool(adjacency[u, v]), not mask[u, v])
+        for u, v in zip(*np.nonzero(np.triu(mask != adjacency, 1)))
+    )
+    return RealizationCheck(not violations, violations)
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -1,33 +1,43 @@
-"""Brute-force bracketing of the minimal realization dimension over F_p.
+"""Exhaustive bracketing of the minimal realization dimension over F_p.
 
-``exists_realization`` sweeps all assignments of r x r matrices over F_p to
-the vertices of a graph, depth-first in vertex order, pruning a branch as
-soon as one commutation constraint fails.  Candidates are enumerated by
-their row-major entry tuple as a base-p counter (the zero matrix first), so
-results are reproducible byte for byte.
+A matrix A commutes with exactly the matrices that uA + cI commutes with (u a
+unit, c a scalar), so ``exists_realization`` sweeps one representative per
+scalar-shift class, with entry (r, r) = 0 and first nonzero entry 1, in the
+order of their row-major entry tuples (the zero matrix, for the scalars,
+first).  Each has a commuting row, a Python-int bitset over the
+representatives read off its centralizer, the kernel of X -> AX - XA.
 
-The sweep is partitioned by the first vertex's candidate.  Partitions run
-in candidate order, each with a fixed slice of the node budget, and the
-sweep stops at the first partition that finds a witness, which is the first
-witness in global candidate order.  ``nodes`` (``nodes_explored`` in a
-report) counts the constraint checks made up to that witness, or to the end
-of the sweep when there is none, so every count depends only on the inputs.
-
-``min_realization_dim`` ascends r = 1, 2, ... with a worst-case feasibility
-precheck per level; levels it cannot afford to sweep are never reported as
-excluded.  For perfect matchings on 2n vertices the analytic bound n+1 is
-applied as an independent exclusion method.
+The sweep is a depth-first search in vertex order.  Choosing a representative
+for vertex t narrows every later vertex's bitset domain with one AND, by its
+row for a non-edge and by the complement for an edge; a branch dies when a
+domain empties.  A node is one representative tried at one vertex, and
+``nodes`` (``nodes_explored`` in a report) counts them up to the first witness
+in representative order, or to the end of the sweep.  ``invertible_only``
+sweeps the classes with an invertible member A + cI and reports the first
+such member in c order.  ``min_realization_dim`` ascends r = 1, 2, ... on one
+node budget; a level is excluded only by a completed sweep or, for a perfect
+matching on 2n vertices, by the analytic bound n+1.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .commgraph import Assignment, CommGraph, graph_to_json, realizes
+from .commgraph import Assignment, CommGraph, assignment_to_json, graph_to_json, realizes
 from .errors import InvalidHintError
-from .exactla import FieldSpec, Matrix, _reduced_form, block_diagonal, zeros
+from .exactla import (
+    GF,
+    FieldSpec,
+    Matrix,
+    _reduced_form,
+    block_diagonal,
+    is_invertible,
+    kernel_basis,
+    matrix_from_rows,
+    zeros,
+)
 
 FOUND = "found"
 NONE = "none"
@@ -40,9 +50,10 @@ STATUS_EXHAUSTED = "exhausted_budget"
 MODE_ALL = "all"
 MODE_INVERTIBLE = "invertible_only"
 
-WITNESS_RULE = "first_in_candidate_order"
+WITNESS_RULE = "first_in_representative_order"
 
-_CANDIDATE_CAP = 2 * 10**6  # refuse to materialize larger candidate lists
+CLASS_CAP = 2 * 10**6  # refuse levels with more scalar-shift classes than this
+_ROW_CACHE_BITS = 2**25  # cached rows of one (r, p) are dropped beyond this many bits
 
 
 @dataclass(frozen=True)
@@ -80,82 +91,86 @@ def matching_lower_bound(graph: CommGraph) -> Optional[int]:
     return None
 
 
-def _candidates(r: int, field: FieldSpec, mode: str):
-    p = field.characteristic
-    cands = list(itertools.product(range(p), repeat=r * r))
-    if mode == MODE_INVERTIBLE:
-        rows = range(0, r * r, r)
-        cands = [c for c in cands if len(_reduced_form([c[i : i + r] for i in rows], r, p)[1]) == r]
-    return cands
+def class_count(r: int, p: int) -> int:
+    """Number of scalar-shift classes of r x r matrices over F_p."""
+    return 1 + (p ** (r * r - 1) - 1) // (p - 1)
 
 
-def worst_case_nodes(vertex_count: int, r: int, p: int) -> int:
-    """Upper bound on constraint checks for a full sweep at dimension r."""
-    c = p ** (r * r)
-    return sum((t - 1) * c**t for t in range(2, vertex_count + 1))
+def _bitset(indices, size: int) -> int:
+    bits = bytearray((size + 7) // 8)
+    for i in indices:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
 
 
-class _BudgetHit(Exception):
-    pass
+class _Classes:
+    """The scalar-shift classes of r x r matrices over F_p and their commuting rows."""
 
+    def __init__(self, r: int, p: int):
+        self.r, self.p, self.n = r, p, r * r
+        self.count = class_count(r, p)
+        self.all = (1 << self.count) - 1
+        self._place = [p**e for e in range(self.n - 2, -1, -1)] + [0]  # base-p numeral, x_rr dropped
+        # index minus numeral of the representatives whose first nonzero entry is at k
+        self._offset = [1 + (w - 1) // (p - 1) - w for w in self._place[:-1]]
+        self._rows = {}
 
-class _Partition:
-    """Exhaustive DFS under one fixed first-vertex candidate."""
+    def entries(self, index: int) -> tuple:
+        """Row-major entries of representative ``index``."""
+        digits = [0] * self.n
+        if index:
+            lead = next(k for k, off in enumerate(self._offset) if index >= off + self._place[k])
+            value = index - self._offset[lead]
+            for k in range(self.n - 2, lead - 1, -1):
+                value, digits[k] = divmod(value, self.p)
+        return tuple(digits)
 
-    def __init__(self, graph, candidates, r, p, budget):
-        self.m = graph.vertex_count
-        self.adj = [
-            [graph.has_edge(u, v) for v in range(graph.vertex_count + 1)]
-            for u in range(graph.vertex_count + 1)
-        ]
-        self.candidates = candidates
-        self.r = r
-        self.p = p
-        self.budget = budget
-        self.nodes = 0
-        self.found = None
+    def row(self, index: int) -> int:
+        """Bitset of the representatives that commute with representative ``index``."""
+        if index == 0:
+            return self.all  # the scalars commute with everything
+        if index in self._rows:
+            return self._rows[index]
+        r, p, n = self.r, self.p, self.n
+        a = self.entries(index)
+        # (AX - XA)[i][j] = 0 in the row-major entries x_kl of X, then x_rr = 0
+        eqs = [[(a[i * r + k] * (l == j) - (i == k) * a[l * r + j]) % p for k in range(r) for l in range(r)]
+               for i in range(r) for j in range(r)]
+        kernel = [list(v) for v in kernel_basis(matrix_from_rows(GF(p), eqs + [[0] * (n - 1) + [1]]))]
+        basis, pivots = _reduced_form(kernel, n, p)
+        # in reduced echelon form the projective points are b_i plus any combination of later rows
+        indices = [0]
+        later = [[0] * n]  # the span of the rows after b_i
+        for b, lead in zip(reversed(basis), reversed(pivots)):
+            offset = self._offset[lead]
+            indices += [sum((x + y) % p * w for x, y, w in zip(b, s, self._place)) + offset for s in later]
+            later = [[(c * x + y) % p for x, y in zip(b, s)] for c in range(p) for s in later]
+        if len(self._rows) * self.count >= _ROW_CACHE_BITS:
+            self._rows.clear()
+        row = self._rows[index] = _bitset(indices, self.count)
+        return row
 
-    def run(self, first_index):
-        assigned = [self.candidates[first_index]]
-        try:
-            self._dfs(2, assigned)
-            status = NONE if self.found is None else FOUND
-        except _BudgetHit:
-            status = BUDGET_EXCEEDED
-        return status, self.found, self.nodes
-
-    def _dfs(self, t, assigned):
-        if t > self.m:
-            self.found = tuple(assigned)
-            return True
-        adj_t = self.adj[t]
-        for cand in self.candidates:
-            ok = True
-            for u in range(1, t):
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    raise _BudgetHit
-                if self._commutes(assigned[u - 1], cand) == adj_t[u]:
-                    ok = False
-                    break
-            if ok:
-                assigned.append(cand)
-                if self._dfs(t + 1, assigned):
-                    return True
-                assigned.pop()
-        return False
-
-    def _commutes(self, a, b):
+    def invertible_member(self, index: int) -> Optional[tuple]:
+        """Entries of the first invertible A + cI in c order, or None."""
         r, p = self.r, self.p
-        for i in range(r):
-            ai = i * r
-            for j in range(r):
-                s = 0
-                for k in range(r):
-                    s += a[ai + k] * b[k * r + j] - b[ai + k] * a[k * r + j]
-                if s % p:
-                    return False
-        return True
+        a = self.entries(index)
+        for c in range(p):
+            b = tuple((x + c * (k % (r + 1) == 0)) % p for k, x in enumerate(a))  # A + cI
+            if is_invertible(Matrix(GF(p), r, r, b)):
+                return b
+        return None
+
+    @functools.cached_property
+    def invertible(self) -> int:
+        """Bitset of the classes that have an invertible member."""
+        if self.r < self.p:  # A + cI is singular for at most r values of c
+            return self.all
+        return _bitset((i for i in range(self.count) if self.invertible_member(i) is not None), self.count)
+
+
+@functools.lru_cache(maxsize=8)
+def _classes(r: int, p: int) -> _Classes:
+    return _Classes(r, p)
 
 
 def exists_realization(
@@ -167,9 +182,8 @@ def exists_realization(
 ) -> ExistsOutcome:
     """Sweep dimension r exhaustively; NONE is a proof of non-existence.
 
-    A BUDGET_EXCEEDED outcome means some partition ran out of its budget
-    share (or the level was too large to enumerate at all) and carries no
-    non-existence information.
+    BUDGET_EXCEEDED (the sweep needed more than ``budget`` nodes, or the level
+    has more than ``CLASS_CAP`` classes) carries no non-existence information.
     """
     if field.is_rationals:
         raise ValueError("exhaustive search needs a finite field")
@@ -178,30 +192,46 @@ def exists_realization(
     if mode not in (MODE_ALL, MODE_INVERTIBLE):
         raise ValueError(f"unknown mode {mode!r}")
     p = field.characteristic
-    if p ** (r * r) > min(budget, _CANDIDATE_CAP):
+    # the class count is at least 2^(r^2 - 1), so the power is taken for small r only
+    if r * r > CLASS_CAP.bit_length() or class_count(r, p) > CLASS_CAP:
         return ExistsOutcome(BUDGET_EXCEEDED, None, 0)
 
-    candidates = _candidates(r, field, mode)
-    if not candidates:
-        return ExistsOutcome(NONE, None, 0)
-
-    n_parts = len(candidates)
-    share, extra = divmod(max(budget, 0), n_parts)
+    classes = _classes(r, p)
+    invertible = mode == MODE_INVERTIBLE
+    m = graph.vertex_count
+    adjacency = [[graph.has_edge(u, v) for v in range(1, m + 1)] for u in range(1, m + 1)]
     nodes = 0
-    exceeded = False
-    for k in range(n_parts):
-        part = _Partition(graph, candidates, r, p, share + (1 if k < extra else 0))
-        status, found, used = part.run(k)
-        nodes += used
-        if status == FOUND:
-            witness = Assignment(tuple(_tuple_to_matrix(c, r, field) for c in found))
+    chosen = []  # class index of each vertex before the current one
+    # stack[t]: the untried classes of vertex t, then the domains of the later vertices
+    stack = [[classes.invertible if invertible else classes.all] * m]
+    while stack:
+        t = len(chosen)
+        domains = stack[t]
+        if not domains[0]:
+            stack.pop()
+            del chosen[-1:]  # the choice that led to vertex t, if any
+            continue
+        if nodes >= budget:
+            return ExistsOutcome(BUDGET_EXCEEDED, None, nodes)
+        nodes += 1
+        low = domains[0] & -domains[0]
+        domains[0] ^= low
+        a = low.bit_length() - 1
+        if t == m - 1:
+            member = classes.invertible_member if invertible else classes.entries
+            witness = Assignment(tuple(Matrix(field, r, r, member(c)) for c in chosen + [a]))
             return ExistsOutcome(FOUND, witness, nodes)
-        exceeded = exceeded or status == BUDGET_EXCEEDED
-    return ExistsOutcome(BUDGET_EXCEEDED if exceeded else NONE, None, nodes)
-
-
-def _tuple_to_matrix(entries, r, field) -> Matrix:
-    return Matrix(field, r, r, tuple(int(x) for x in entries))
+        row = classes.row(a)
+        narrowed = []
+        for dom, edge in zip(domains[1:], adjacency[t][t + 1 :]):
+            dom = dom & ~row if edge else dom & row
+            if not dom:
+                break
+            narrowed.append(dom)
+        else:
+            chosen.append(a)
+            stack.append(narrowed)
+    return ExistsOutcome(NONE, None, nodes)
 
 
 def min_realization_dim(
@@ -217,15 +247,11 @@ def min_realization_dim(
         raise ValueError("exhaustive search needs a finite field")
     if r_max < 1:
         raise ValueError("r_max must be positive")
-    p = field.characteristic
 
-    upper = None
-    witness = None
+    upper = witness = None
     if hint is not None:
         if len(hint) != graph.vertex_count:
-            raise InvalidHintError(
-                f"hint assigns {len(hint)} matrices to {graph.vertex_count} vertices"
-            )
+            raise InvalidHintError(f"hint assigns {len(hint)} matrices to {graph.vertex_count} vertices")
         if hint.field != field:
             raise InvalidHintError(
                 f"hint field {hint.field.name()} does not match search field {field.name()}"
@@ -237,63 +263,38 @@ def min_realization_dim(
                 f"hint does not realize the graph: pair ({first.u}, {first.v}) "
                 f"{'commutes on an edge' if first.edge else 'fails to commute on a non-edge'}"
             )
-        upper = hint.dimension
-        witness = hint
+        upper, witness = hint.dimension, hint
 
     analytic = matching_lower_bound(graph)
     excluded = {}
     nodes_total = 0
     exceeded = False
 
-    r = 1
-    while r <= r_max:
+    for r in range(1, r_max + 1):
         if upper is not None and r >= upper:
             break
-        remaining = budget - nodes_total
-        if worst_case_nodes(graph.vertex_count, r, p) > remaining:
-            if analytic is not None and r < analytic:
-                excluded[r] = "analytic"
-                r += 1
-                continue
-            exceeded = True  # the budget, not r_max, stopped the ascent
-            break  # r cannot be excluded: it becomes the reported lower bound
-        outcome = exists_realization(graph, field, r, mode, remaining)
+        outcome = exists_realization(graph, field, r, mode, budget - nodes_total)
         nodes_total += outcome.nodes
         if outcome.status == FOUND:
-            if analytic is not None and r < analytic:
-                raise AssertionError(
-                    "exhaustive sweep found a realization below the matching bound"
-                )
-            upper = r
-            witness = outcome.witness
+            upper, witness = r, outcome.witness
             break
         if outcome.status == NONE:
             excluded[r] = "exhaustive"
-            r += 1
-            continue
-        exceeded = True
-        if analytic is not None and r < analytic:
-            excluded[r] = "analytic"
-            r += 1
-            continue
-        break
+        else:
+            exceeded = True  # the budget or the class cap, not r_max, stopped the ascent
+            if analytic is None or r >= analytic:
+                break  # r cannot be excluded: it becomes the reported lower bound
 
-    if analytic is not None:
-        for rr in range(1, analytic):
-            excluded.setdefault(rr, "analytic")
+    for rr in range(1, analytic or 1):
+        excluded.setdefault(rr, "analytic")
 
     lower = 1
     while lower in excluded:
         lower += 1
-    if upper is not None and analytic is not None:
-        assert upper >= analytic, "realization below the analytic bound"
+    if upper is not None and analytic is not None and upper < analytic:
+        raise AssertionError("realization below the matching bound")
 
-    if upper is not None and lower == upper:
-        status = STATUS_EXACT
-    elif exceeded:
-        status = STATUS_EXHAUSTED
-    else:
-        status = STATUS_BRACKET
+    status = STATUS_EXACT if upper == lower else STATUS_EXHAUSTED if exceeded else STATUS_BRACKET
 
     return SearchReport(
         graph=graph,
@@ -323,8 +324,6 @@ def pad_assignment(assignment: Assignment, extra: int) -> Assignment:
 
 
 def report_to_json(report: SearchReport) -> dict:
-    from .commgraph import assignment_to_json
-
     return {
         "graph": graph_to_json(report.graph),
         "field": report.field.name(),

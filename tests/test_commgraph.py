@@ -123,6 +123,27 @@ def test_mask_bigint_path_matches():
     assert bool(mask[1, 2]) is False
 
 
+@settings(max_examples=60)
+@given(st.data())
+def test_violations_match_per_pair_loop(data):
+    # oracle: every pair u < v in row-major order, from exact commutators and has_edge
+    field = data.draw(st.sampled_from([QQ, GF(3)]))
+    count = data.draw(st.integers(min_value=1, max_value=6))
+    n = data.draw(st.integers(min_value=1, max_value=2))
+    mats = tuple(data.draw(square_matrix_of(field, n)) for _ in range(count))
+    pairs = [(u, v) for u in range(1, count + 1) for v in range(u + 1, count + 1)]
+    g = CommGraph.make(count, data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set())))
+    expected = []
+    for u, v in pairs:
+        commutes = commutator(mats[u - 1], mats[v - 1]).is_zero()
+        if g.has_edge(u, v) == commutes:
+            expected.append((u, v, g.has_edge(u, v), commutes))
+    got = realizes(Assignment(mats), g).violations
+    assert [(s.u, s.v, s.edge, s.commutes) for s in got] == expected
+    assert all(type(x) is int for s in got for x in (s.u, s.v))
+    assert all(type(x) is bool for s in got for x in (s.edge, s.commutes))
+
+
 def test_realizes_n200_witness_in_bounded_memory():
     n = 200
     witness, graph = sharp_witness(n, 2, QQ), matching_graph(n)

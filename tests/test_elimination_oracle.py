@@ -2,8 +2,8 @@
 
 Every test requires equal results from the library and from the reference
 implementations in ``reference_elimination``: rank, kernel, inverse and
-invertibility over Q and F_p, spinning over F_2 and F_3, and the candidate
-list of the ``invertible_only`` search mode.
+invertibility over Q and F_p, spinning over F_2 and F_3, and the classes
+that the ``invertible_only`` search mode sweeps.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import reference_elimination as ref
 from commrep.exactla import GF, QQ, inverse, is_invertible, kernel_basis, matrix_from_rows, rank
 from commrep.modsplit import ModuleSpec, minimal_invariant_subspace, spin
-from commrep.search import MODE_ALL, MODE_INVERTIBLE, _candidates
+from commrep.search import _classes
 
 from conftest import big_fractions, small_fractions
 
@@ -103,5 +103,13 @@ def test_spin_matches_reference(p, data):
 
 @pytest.mark.parametrize("r, p", [(1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2)])
 def test_invertible_candidates_match_reference(r, p):
-    assert _candidates(r, GF(p), MODE_INVERTIBLE) == ref.invertible_candidates(r, p)
-    assert _candidates(r, GF(p), MODE_ALL) == list(itertools.product(range(p), repeat=r * r))
+    # a class is kept exactly when one of its members uA + cI is invertible, and its
+    # reported member is the first invertible A + cI in c order
+    classes = _classes(r, p)
+    invertible = set(ref.invertible_candidates(r, p))
+    for i in range(classes.count):
+        a = classes.entries(i)
+        shifts = [tuple((x + c * (k % (r + 1) == 0)) % p for k, x in enumerate(a)) for c in range(p)]
+        members = {tuple(u * x % p for x in b) for b in shifts for u in range(1, p)}
+        assert bool(classes.invertible >> i & 1) == bool(members & invertible)
+        assert classes.invertible_member(i) == next((b for b in shifts if b in invertible), None)

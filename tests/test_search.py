@@ -1,25 +1,33 @@
-"""Search oracle: brute-force cross-checks and determinism."""
+"""Search oracle: brute-force cross-checks, the reference sweep, budgets and determinism."""
 
 import itertools
+import time
+import tracemalloc
 
 import pytest
 
 from commrep.commgraph import Assignment, CommGraph, matching_graph, realizes
 from commrep.errors import InvalidHintError
-from commrep.exactla import GF, Matrix, commutator
+from commrep.exactla import GF, Matrix, commutator, is_invertible
 from commrep.search import (
     BUDGET_EXCEEDED,
     FOUND,
+    MODE_ALL,
+    MODE_INVERTIBLE,
     NONE,
     STATUS_BRACKET,
     STATUS_EXACT,
+    STATUS_EXHAUSTED,
+    _classes,
+    class_count,
     exists_realization,
     matching_lower_bound,
     min_realization_dim,
     pad_assignment,
-    worst_case_nodes,
 )
 from commrep.witness import sharp_witness
+
+import reference_search
 
 
 def _brute_force_exists(graph, field, r):
@@ -74,17 +82,28 @@ def test_two_pairs_impossible_in_dimension_two():
 
 
 def test_sweep_stops_at_the_first_witness():
-    # both witnesses lie in partition 1; sweeping every partition costs 160 and 411
+    # vertex 1 tries the scalars first, which commute with every class, so an edge kills them
     path = exists_realization(CommGraph.make(3, [(1, 2), (2, 3)]), GF(2), 2)
     pair = exists_realization(matching_graph(1), GF(3), 2)
-    assert (path.status, path.nodes) == (FOUND, 23)
-    assert (pair.status, pair.nodes) == (FOUND, 85)
+    assert (path.status, path.nodes) == (FOUND, 4)
+    assert (pair.status, pair.nodes) == (FOUND, 3)
 
 
 def test_budget_exceeded_reported_distinctly():
     out = exists_realization(matching_graph(2), GF(2), 2, budget=10)
     assert out.status == BUDGET_EXCEEDED
     assert out.witness is None
+    assert out.nodes == 10  # the node that would exceed the budget is not explored
+
+
+def test_one_node_budget_across_all_levels():
+    # the whole ascent for M2 over F_2 (levels 1 and 2 empty, 3 found) takes 30 nodes
+    full = min_realization_dim(matching_graph(2), GF(2), r_max=3)
+    assert (full.status, full.nodes_explored) == (STATUS_EXACT, 30)
+    for budget in range(0, 40):
+        report = min_realization_dim(matching_graph(2), GF(2), r_max=3, budget=budget)
+        assert report.nodes_explored == min(budget, 30)
+        assert report.status == (STATUS_EXACT if budget >= 30 else STATUS_EXHAUSTED)
 
 
 def test_min_dim_edgeless_graph():
@@ -166,10 +185,81 @@ def test_determinism_repeat_runs():
     assert a == b
 
 
-def test_worst_case_estimate_bounds_actual_nodes():
-    g = matching_graph(2)
-    out = exists_realization(g, GF(2), 2, budget=10**8)
-    assert out.nodes <= worst_case_nodes(g.vertex_count, 2, 2)
+@pytest.mark.parametrize("mode", [MODE_ALL, MODE_INVERTIBLE])
+def test_matching_two_over_f3_is_none_within_100_nodes(mode):
+    out = exists_realization(matching_graph(2), GF(3), 2, mode=mode, budget=100)
+    assert out.status == NONE
+    report = min_realization_dim(matching_graph(2), GF(3), r_max=3, mode=mode, budget=10**4)
+    assert report.status == STATUS_EXACT
+    assert report.excluded == ((1, "exhaustive"), (2, "exhaustive"))
+    assert realizes(report.witness, matching_graph(2)).ok
+
+
+def test_level_over_the_class_cap_is_refused_at_once():
+    assert class_count(4, 3) > 2 * 10**6
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        out = exists_realization(matching_graph(2), GF(3), 4)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.witness, out.nodes) == (BUDGET_EXCEEDED, None, 0)
+    assert elapsed < 0.5 and peak < 10 * 2**20
+
+
+def _commutes(a, b, r, p):
+    return all(
+        sum(a[i * r + k] * b[k * r + j] - b[i * r + k] * a[k * r + j] for k in range(r)) % p == 0
+        for i in range(r)
+        for j in range(r)
+    )
+
+
+@pytest.mark.parametrize(
+    "r, p, count, step",
+    [(1, 5, 1, 1), (2, 2, 8, 1), (2, 3, 14, 1), (3, 2, 256, 1), (2, 5, 32, 1), (3, 3, 3281, 41)],
+)
+def test_commuting_rows_match_brute_force(r, p, count, step):
+    # every matrix lies in exactly one class, shifted and scaled from its representative;
+    # rows are checked for every step-th representative
+    classes = _classes(r, p)
+    reps = [classes.entries(i) for i in range(classes.count)]
+    assert classes.count == class_count(r, p) == count
+    assert reps == sorted(reps)
+    members = {
+        tuple((u * x + c * (k % (r + 1) == 0)) % p for k, x in enumerate(a))
+        for a in reps
+        for u in range(1, p)
+        for c in range(p)
+    }
+    assert members == set(itertools.product(range(p), repeat=r * r))
+    for i, a in list(enumerate(reps))[::step]:
+        row = classes.row(i)
+        assert [row >> j & 1 for j in range(classes.count)] == [_commutes(a, b, r, p) for b in reps]
+
+
+def _labelled_graphs(m):
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    for bits in range(2 ** len(pairs)):
+        yield CommGraph.make(m, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+@pytest.mark.parametrize("p, max_vertices", [(2, 4), (3, 3)])
+def test_verdicts_match_reference_search(p, max_vertices):
+    field = GF(p)
+    for m in range(1, max_vertices + 1):
+        for g in _labelled_graphs(m):
+            for r in (1, 2):
+                for mode in (MODE_ALL, MODE_INVERTIBLE):
+                    expected = reference_search.exists_realization(g, field, r, mode == MODE_INVERTIBLE)
+                    got = exists_realization(g, field, r, mode=mode)
+                    assert got.status == (NONE if expected is None else FOUND), (sorted(g.edges), r, mode)
+                    if got.status == FOUND:
+                        assert realizes(got.witness, g).ok
+                        if mode == MODE_INVERTIBLE:
+                            assert all(is_invertible(a) for a in got.witness.matrices)
 
 
 def test_bracket_status_when_rmax_too_small():
