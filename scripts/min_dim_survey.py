@@ -13,7 +13,9 @@ takes an upper bound from an explicit witness:
     for which [M_u, M_v] is nonzero exactly on edges.
 
 Each vertex count ends with how many classes need each dimension, and the
-worst graph is compared against the proved window floor(m/2)+1 .. m+1.
+worst graph is compared against the proved window floor(m/2)+1 .. m+1.  The
+exit status is 1 when any class ends other than ``exact``, so a run whose
+search runs out of budget fails.
 
 Usage: python3 scripts/min_dim_survey.py [--max-vertices 4] [--field Fp:2] [--budget 50000000]
 """
@@ -88,7 +90,9 @@ def isomorphism_classes(m: int):
             yield [pairs[i] for i in members]
 
 
-def survey(max_vertices: int, field, budget: int):
+def survey(max_vertices: int, field, budget: int) -> int:
+    """Print the survey; returns the number of classes that did not end ``exact``."""
+    total_open = 0
     print(f"graph survey over {field.name()}, one graph per isomorphism class, budget {budget} nodes per graph")
     for m in range(1, max_vertices + 1):
         lows, ups = [], []
@@ -110,6 +114,7 @@ def survey(max_vertices: int, field, budget: int):
         window = f"{m // 2 + 1} .. {m + 1}"
         needs = Counter(low for low, up in zip(lows, ups) if low == up)
         still_open = len(lows) - sum(needs.values())
+        total_open += still_open
         print(
             f"m={m}: {len(lows)} classes, "
             + ", ".join(f"{needs[r]} need {r}" for r in sorted(needs))
@@ -119,6 +124,7 @@ def survey(max_vertices: int, field, budget: int):
             + f"; proved window for the worst graph: {window}"
             + f"  ({time.time() - t0:.1f}s)"
         )
+    return total_open
 
 
 def finite_field(name: str) -> FieldSpec:
@@ -139,8 +145,12 @@ def main():
     args = ap.parse_args()
     if not 1 <= args.max_vertices <= 6:
         ap.error("--max-vertices must be between 1 and 6: the canonical labelling tries every permutation")
-    survey(args.max_vertices, args.field, args.budget)
+    still_open = survey(args.max_vertices, args.field, args.budget)
+    if still_open:
+        print(f"{still_open} classes did not end exact", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,24 +4,24 @@
 pattern a graph prescribes: adjacent vertices get non-commuting matrices,
 non-adjacent vertices get commuting ones.  The all-pairs check shifts each
 matrix by its most common diagonal entry and clears its denominators, which
-changes no commutator's vanishing, and then multiplies only the pairs whose
-supports interact, each densely on the union of the two supports, in int64
-when no product entry can overflow it and in Python ints otherwise.
-"""
+changes no commutator's vanishing.  It then compares only the pairs whose
+supports interact, on Python ints: each row is packed into one int, and one
+multiply-add per nonzero entry gives a row of a matrix's products with all
+its partners at once.  The result is one bitset of non-commuting partners
+per matrix, and ``realizes`` reads its violations off their XOR with the
+adjacency bitsets."""
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Sequence
 
 from .errors import SchemaError, json_int
 from .exactla import FieldSpec, Matrix
-
-_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -113,91 +113,216 @@ class RealizationCheck:
     violations: tuple  # of PairStatus, exhaustive
 
 
-def _shifted_integer_entries(a: Matrix) -> tuple:
-    """(rows, cols, values) of the nonzero entries of dA - cI, all integers.
+def _shifted_integer_rows(a: Matrix) -> dict:
+    """{row: {column: value}} of the nonzero entries of d(A - cI), all integers.
 
-    Over Q, d is the lcm of the denominators of A, and [dA, B] = d [A, B]
-    vanishes with [A, B]; over F_p, d = 1 and the values are residues.  c is
-    the most common diagonal entry of dA, so a scalar-plus-sparse matrix keeps
-    only its sparse part, and [A - cI, B] = [A, B].
+    c is the most common diagonal entry of A, so a scalar-plus-sparse matrix
+    keeps only its sparse part, and [A - cI, B] = [A, B].  Over Q, d is the
+    lcm of the denominators of A - cI, and [dA, B] = d [A, B] vanishes with
+    [A, B]; over F_p, d = 1 and the values are residues.
     """
     p = a.field.characteristic
-    entries = {(i, j): x for i, row in enumerate(a.nonzero_rows) for j, x in row}
+    diagonal = []
+    for i, row in enumerate(a.nonzero_rows):
+        k = bisect.bisect_left(row, (i,))
+        diagonal.append(row[k][1] if k < len(row) and row[k][0] == i else 0)
+    keys = diagonal if p is not None else [x.as_integer_ratio() for x in diagonal]  # Fraction hashing is slow
+    common = Counter(keys).most_common(1)[0][0]
+    c = diagonal[keys.index(common)]
+    shifted = {}
+    for i, (row, x, key) in enumerate(zip(a.nonzero_rows, diagonal, keys)):
+        if key != common:
+            row = shifted[i] = dict(row)
+            row[i] = x - c if p is None else (x - c) % p
+        elif not c:
+            if row:
+                shifted[i] = dict(row)
+        elif len(row) > 1:
+            row = shifted[i] = dict(row)
+            del row[i]
     if p is None:
-        d = math.lcm(*(x.denominator for x in entries.values()))
-        entries = {key: x.numerator * (d // x.denominator) for key, x in entries.items()}
-    diagonal = [entries.get((i, i), 0) for i in range(a.rows)]
-    c = Counter(diagonal).most_common(1)[0][0]
-    if c:
-        for i, x in enumerate(diagonal):
-            if x == c:
-                del entries[i, i]
-            else:
-                entries[i, i] = x - c if p is None else (x - c) % p
-    rows = np.array([i for i, _ in entries], dtype=np.intp)
-    cols = np.array([j for _, j in entries], dtype=np.intp)
-    return rows, cols, list(entries.values())
+        d = math.lcm(*{x.denominator for row in shifted.values() for x in row.values()})
+        for row in shifted.values():
+            for j, x in row.items():
+                row[j] = x.numerator * (d // x.denominator)
+    return shifted
 
 
-def noncommuting_pairs(matrices: Sequence[Matrix]) -> np.ndarray:
-    """Boolean m x m array: True where the two matrices do not commute.
+def _bits(x: int):
+    """Indices of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    Each matrix is replaced by ``_shifted_integer_entries``.  Both products of
-    a pair vanish unless the column support of one meets the row support of
-    the other, so only the pairs that pass this test are multiplied, densely
-    on the union of their supports.  Entries are int64 when no product entry
-    (at most r M^2, M the largest absolute value) can overflow it, and Python
-    ints otherwise.
+
+def _repeat(pattern: int, stride: int, count: int) -> int:
+    """``count`` copies of ``pattern``, ``stride`` bits apart."""
+    return pattern * (((1 << stride * count) - 1) // ((1 << stride) - 1))
+
+
+def _canonical_slots(width: int, r: int, blocks: int, p) -> Callable:
+    """Map a packed product row to one whose slots are canonical, so equal entries give equal bytes.
+
+    The row has ``blocks`` blocks of 8 * ceil(r * width / 8) bits, each with r
+    slots of ``width`` bits at its low end.  Over Q a slot holds an entry v
+    with |v| < 2^(width-1) as a signed digit; adding 2^(width-1) to every
+    slot makes it the plain digit v + 2^(width-1).  Over F_p a slot holds an
+    entry 0 <= v < 2^(width-1) and becomes v mod p.  Slots of even and of odd
+    index are reduced apart, each with at least 2 * width bits up to the next
+    one, so floor(v / p) = floor(v * mu / 2^shift) is exact in every slot at
+    once: mu = ceil(2^shift / p) exceeds 2^shift / p by e / p with e < p, and
+    v * e < 2^(width - 1 + p.bit_length()) = 2^shift.
     """
-    m = len(matrices)
-    r = matrices[0].rows
+    span = -(-r * width // 8) * 8
+
+    def every(value, parity):  # value in every slot t * r + j of the given parity
+        first = _repeat(value, 2 * width, (r + 1 - parity) // 2) << parity * width
+        second = _repeat(value, 2 * width, (r + 1 - (parity ^ r % 2)) // 2) << (parity ^ r % 2) * width
+        return _repeat(first | second << span, 2 * span, (blocks + 1) // 2) & (1 << blocks * span) - 1
+
+    if p is None:
+        bias = every(1 << width - 1, 0) | every(1 << width - 1, 1)
+        return lambda x: x + bias
+    if 1 << width - 1 <= p:
+        return lambda x: x  # every entry is below p already
+    shift = width - 1 + p.bit_length()
+    mu = -(-(1 << shift) // p)
+    even, odd = every((1 << width) - 1, 0), every((1 << width) - 1, 1)
+    # v * mu < 2^(2 * width), so the quotient fills at most 2 * width - shift bits
+    q_even, q_odd = every((1 << 2 * width - shift) - 1, 0), every((1 << 2 * width - shift) - 1, 1)
+    return lambda x: x - ((((x & even) * mu >> shift) & q_even) | (((x & odd) * mu >> shift) & q_odd)) * p
+
+
+def _partners(shifted: list, r: int) -> list:
+    """Per matrix, the bitset of the others whose products with it can be nonzero.
+
+    A_a A_b vanishes unless the column support of A_a meets the row support
+    of A_b; an index from each position to the matrices using it finds the
+    pairs where either product can be nonzero.
+    """
+    columns = [set().union(*rows.values()) for rows in shifted]
+    in_rows, in_cols = [0] * r, [0] * r
+    for v, (rows, cols) in enumerate(zip(shifted, columns)):
+        for i in rows:
+            in_rows[i] |= 1 << v
+        for j in cols:
+            in_cols[j] |= 1 << v
+    partners = []
+    for v, (rows, cols) in enumerate(zip(shifted, columns)):
+        meets = 0
+        for i in rows:
+            meets |= in_cols[i]
+        for j in cols:
+            meets |= in_rows[j]
+        partners.append(meets & ~(1 << v))
+    return partners
+
+
+def _components(partners: list):
+    """The vertex lists, in increasing order, of the connected components of the partner graph with an edge."""
+    done = 0
+    for v, mine in enumerate(partners):
+        if done >> v & 1 or not mine:
+            continue
+        group, frontier = 0, 1 << v
+        while frontier:
+            group |= frontier
+            reach = 0
+            for u in _bits(frontier):
+                reach |= partners[u]
+            frontier = reach & ~group
+        done |= group
+        yield list(_bits(group))
+
+
+def noncommuting_pairs(matrices: Sequence[Matrix]) -> list:
+    """One bitset per matrix: bit j of entry i is set when matrices i and j do not commute.
+
+    Each matrix is replaced by ``_shifted_integer_rows``, and only partners
+    (``_partners``) are compared, one connected component of them at a time.
+    In a component each row of every matrix is packed into one int of r slots
+    of ``width`` bits, and the rows k of all members are stacked into one int
+    per k, one byte-aligned block per member.  Row i of A_a times the stack
+    of row k, summed over the nonzero entries A_a[i][k], is row i of every
+    product A_a A_b at once.  Its slots are made canonical
+    (``_canonical_slots``), so [A_a, A_b] has a nonzero row i exactly when
+    block b of row i of the products of a and block a of row i of the
+    products of b differ as bytes.  A product entry is at most the largest
+    row 1-norm times the largest entry in absolute value, and ``width``
+    leaves one bit above that for the sign or the reduction mod p.  Rows are
+    taken one row index at a time, so at most one row per member is held as
+    bytes.
+    """
+    m, r = len(matrices), matrices[0].rows
     p = matrices[0].field.characteristic
-    shifted = [_shifted_integer_entries(a) for a in matrices]
-    maxabs = max((abs(x) for _, _, values in shifted for x in values), default=0)
-    dtype = np.int64 if r * maxabs * maxabs < _INT64_SAFE else object
-    shifted = [(rows, cols, np.array(values, dtype=dtype)) for rows, cols, values in shifted]
-    in_rows = np.zeros((m, r), dtype=bool)
-    in_cols = np.zeros((m, r), dtype=bool)
-    for k, (rows, cols, _) in enumerate(shifted):
-        in_rows[k, rows] = True
-        in_cols[k, cols] = True
-    meets = in_cols.astype(float) @ in_rows.T.astype(float) > 0  # [a, b]: C_a meets R_b
-    supports = in_rows | in_cols
-    position = np.zeros(r, dtype=np.intp)  # index within the current pair's support
-
-    def on_support(k, size):
-        rows, cols, values = shifted[k]
-        dense = np.zeros((size, size), dtype=dtype)
-        dense[position[rows], position[cols]] = values
-        return dense
-
-    mask = np.zeros((m, m), dtype=bool)
-    for a, b in zip(*np.nonzero(np.triu(meets | meets.T, 1))):
-        support = np.flatnonzero(supports[a] | supports[b])
-        position[support] = np.arange(len(support))
-        x, y = on_support(a, len(support)), on_support(b, len(support))
-        z = x @ y - y @ x
-        if p is not None:
-            z %= p
-        mask[a, b] = mask[b, a] = bool(np.count_nonzero(z))
-    return mask
+    shifted = [_shifted_integer_rows(a) for a in matrices]
+    partners = _partners(shifted, r)
+    noncommuting = [0] * m
+    if not any(partners):
+        return noncommuting
+    norm = max(sum(map(abs, row.values())) for rows in shifted for row in rows.values())
+    largest = max(max(map(abs, row.values())) for rows in shifted for row in rows.values())
+    width = (norm * largest).bit_length() + 1
+    block = -(-r * width // 8)
+    offsets = [j * width for j in range(r)]
+    canonicals = {}
+    for members in _components(partners):
+        place = {u: t for t, u in enumerate(members)}
+        near = [[place[w] for w in _bits(partners[u])] for u in members]
+        cut = [slice(t * block, (t + 1) * block) for t in range(len(members))]
+        stacks, users = [0] * r, {}
+        for t, u in enumerate(members):
+            for k, row in shifted[u].items():
+                packed = sum(map(operator.lshift, row.values(), map(offsets.__getitem__, row)))
+                stacks[k] += packed << t * block * 8
+                users.setdefault(k, []).append(t)
+        size = len(members) * block
+        if len(members) not in canonicals:  # components are mostly of a few sizes
+            canonical = _canonical_slots(width, r, len(members), p)
+            canonicals[len(members)] = canonical, canonical(0).to_bytes(size, "little")[:block]
+        canonical, zero = canonicals[len(members)]
+        for i, row_users in users.items():
+            products = [None] * len(members)
+            for t in row_users:
+                row = shifted[members[t]][i]
+                x = sum(map(operator.mul, row.values(), map(stacks.__getitem__, row)))
+                products[t] = canonical(x).to_bytes(size, "little")
+            for t in row_users:
+                mine, here = products[t], cut[t]
+                for s in near[t]:
+                    theirs = products[s]
+                    if theirs is None:
+                        theirs = zero
+                    elif s < t:
+                        continue  # compared from s's side
+                    else:
+                        theirs = theirs[here]
+                    if mine[cut[s]] != theirs:
+                        u, w = members[t], members[s]
+                        noncommuting[u] |= 1 << w
+                        noncommuting[w] |= 1 << u
+    return noncommuting
 
 
 def realizes(assignment: Assignment, graph: CommGraph) -> RealizationCheck:
-    """Check every vertex pair; violations are reported exhaustively."""
+    """Check every vertex pair; violations are reported exhaustively, u < v in row-major order."""
     if len(assignment) != graph.vertex_count:
         raise ValueError(
             f"assignment has {len(assignment)} matrices for {graph.vertex_count} vertices"
         )
-    mask = noncommuting_pairs(assignment.matrices)
-    adjacency = np.zeros_like(mask)
-    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2) - 1
-    adjacency[edges[:, 0], edges[:, 1]] = True  # upper triangle, as u < v
-    violations = tuple(
-        PairStatus(int(u) + 1, int(v) + 1, bool(adjacency[u, v]), not mask[u, v])
-        for u, v in zip(*np.nonzero(np.triu(mask != adjacency, 1)))
-    )
-    return RealizationCheck(not violations, violations)
+    noncommuting = noncommuting_pairs(assignment.matrices)
+    adjacency = [0] * graph.vertex_count  # above the diagonal, as u < v
+    for u, v in graph.edges:
+        adjacency[u - 1] |= 1 << (v - 1)
+    violations = []
+    for u, (cross, edges) in enumerate(zip(noncommuting, adjacency)):
+        for k in _bits((cross ^ edges) >> (u + 1)):
+            v = u + 1 + k
+            edge = bool(edges >> v & 1)
+            # an edge that commutes, or a non-edge that does not
+            violations.append(PairStatus(u + 1, v + 1, edge, edge))
+    return RealizationCheck(not violations, tuple(violations))
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .exactla import (
     Matrix,
     _reduced_form,
     block_diagonal,
-    is_invertible,
     kernel_basis,
     matrix_from_rows,
     zeros,
@@ -156,7 +155,7 @@ class _Classes:
         a = self.entries(index)
         for c in range(p):
             b = tuple((x + c * (k % (r + 1) == 0)) % p for k, x in enumerate(a))  # A + cI
-            if is_invertible(Matrix(GF(p), r, r, b)):
+            if len(_reduced_form([list(b[i * r : (i + 1) * r]) for i in range(r)], r, p)[1]) == r:
                 return b
         return None
 

@@ -5,11 +5,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commrep.commgraph import (
     Assignment,
+    _canonical_slots,
     CommGraph,
     assignment_from_json,
     assignment_to_json,
@@ -98,7 +99,7 @@ def test_mask_matches_per_pair_commutators(data):
     n = data.draw(st.integers(min_value=1, max_value=3))
     count = data.draw(st.integers(min_value=1, max_value=5))
     if field.is_rationals:
-        # 2**k up to 2**64 puts r M^2 on both sides of the int64 bound
+        # 2**k up to 2**64 gives slot widths from a few bits to well over 64
         k = data.draw(st.sampled_from(range(0, 65, 4)))
         entries = small_fractions.map(lambda x: x * 2**k)
     else:
@@ -109,7 +110,7 @@ def test_mask_matches_per_pair_commutators(data):
     for i in range(count):
         for j in range(count):
             expected = not commutator(mats[i], mats[j]).is_zero()
-            assert bool(mask[i, j]) == expected
+            assert bool(mask[i] >> j & 1) == expected
 
 
 def test_mask_bigint_path_matches():
@@ -118,9 +119,113 @@ def test_mask_bigint_path_matches():
     b = matrix_from_rows(QQ, [[big, 0], [1, big]])
     c = identity(2, QQ).scale(big)
     mask = noncommuting_pairs([a, b, c])
-    assert bool(mask[0, 1]) is True
-    assert bool(mask[0, 2]) is False
-    assert bool(mask[1, 2]) is False
+    assert bool(mask[0] >> 1 & 1) is True
+    assert bool(mask[0] >> 2 & 1) is False
+    assert bool(mask[1] >> 2 & 1) is False
+
+
+def _assert_mask_matches_commutators(mats):
+    mask = noncommuting_pairs(mats)
+    for i in range(len(mats)):
+        for j in range(len(mats)):
+            assert bool(mask[i] >> j & 1) == (not commutator(mats[i], mats[j]).is_zero()), (i, j)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 13, 31, 61, 127, 251])
+def test_canonical_slots_on_every_slot_value(p):
+    # every entry a slot may hold, for widths 2..13, three slots to a byte-aligned block:
+    # over Q signed entries below 2^(width-1) in absolute value gain 2^(width-1),
+    # over F_p entries in [0, 2^(width-1)) become their residues
+    r = 3
+    for width in range(2, 14):
+        half = 1 << width - 1
+        values = list(range(-half + 1, half)) if p is None else list(range(half))
+        expected = [v + half for v in values] if p is None else [v % p for v in values]
+        blocks = -(-len(values) // r)
+        span = -(-r * width // 8) * 8
+        at = [t // r * span + t % r * width for t in range(len(values))]
+        packed = sum(v << shift for v, shift in zip(values, at))
+        got = _canonical_slots(width, r, blocks, p)(packed)
+        assert got.bit_length() <= blocks * span
+        assert [got >> shift & (1 << width) - 1 for shift in at] == expected, width
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    p=st.sampled_from([5, 13, 197, 2**31 - 1, 2**61 - 1]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_mask_on_conjugated_witness_over_fp(n, p, seed):
+    # P^-1 A P keeps every commutation mod p, but the lifted residues of most
+    # commuting pairs do not commute over Z, so every slot must be reduced mod p
+    rng = random.Random(seed)
+    while True:
+        conj = matrix_from_rows(GF(p), [[rng.randrange(p) for _ in range(n + 1)] for _ in range(n + 1)])
+        if is_invertible(conj):
+            break
+    back = inverse(conj)
+    mats = [back @ m @ conj for m in sharp_witness(n, rng.randrange(1, p), GF(p)).matrices]
+    lifted = [matrix_from_rows(QQ, m.rows_list()) for m in mats]
+    commuting = [(i, j) for i in range(len(mats)) for j in range(i) if commutator(mats[i], mats[j]).is_zero()]
+    assume(any(not commutator(lifted[i], lifted[j]).is_zero() for i, j in commuting))
+    _assert_mask_matches_commutators(mats)
+    assert realizes(Assignment(tuple(mats)), matching_graph(n)).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mask_on_dense_fp(data):
+    # dense residues up to 2^61 - 1, with polynomials in the first matrix so that some pairs commute
+    p = data.draw(st.sampled_from([2, 3, 7, 251, 65521, 2**31 - 1, 2**61 - 1]))
+    field = GF(p)
+    r = data.draw(st.integers(min_value=1, max_value=6))
+    residues = st.integers(min_value=0, max_value=p - 1)
+    mats = [data.draw(square_matrix_of(field, r, residues)) for _ in range(data.draw(st.integers(1, 4)))]
+    a = mats[0]
+    for _ in range(data.draw(st.integers(0, 2))):
+        c, d = data.draw(residues), data.draw(residues)
+        mats.append(a @ a + a.scale(c) + identity(r, field).scale(d))
+    _assert_mask_matches_commutators(mats)
+
+
+def _tight_factors(k, delta):
+    """(M, N) with M * N = 2^k + delta and M <= N <= 4M, or None when no such form is known."""
+    if delta == 0:
+        return 2 ** (k // 2), 2 ** (k - k // 2)
+    if delta == -1 and k % 2 == 0 and k >= 2:
+        return 2 ** (k // 2) - 1, 2 ** (k // 2) + 1
+    if delta == 1 and k % 4 == 2 and k > 2:
+        # Aurifeuille: 2^(4j+2) + 1 = (2^(2j+1) - 2^(j+1) + 1)(2^(2j+1) + 2^(j+1) + 1)
+        j = (k - 2) // 4
+        return 2 ** (2 * j + 1) - 2 ** (j + 1) + 1, 2 ** (2 * j + 1) + 2 ** (j + 1) + 1
+    return None
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_mask_at_slot_width_boundary_over_q(delta):
+    # Z has column 5 equal to M in rows 1..4 and a row 0 of 1-norm N with
+    # entries at most M in columns 1..4, so (Z^2)[0][5] = N M is exactly the
+    # bound the slot width is taken from, here 2^k - 1, 2^k or 2^k + 1, and it
+    # sits in the last slot of a block; Z and -Z commute.  All entries are
+    # divided by 7, which clearing the denominators undoes.
+    r = 6
+    tried = 0
+    for k in range(1, 131):
+        factors = _tight_factors(k, delta)
+        if factors is None:
+            continue
+        big, norm = factors
+        parts = [big] * (norm // big) + ([norm % big] if norm % big else [])
+        x_rows = [[Fraction(big, 7) if j == 5 and 1 <= i <= 4 else 0 for j in range(r)] for i in range(r)]
+        y_rows = [[Fraction(parts[j - 1], 7) if i == 0 and 1 <= j <= len(parts) else 0 for j in range(r)]
+                  for i in range(r)]
+        x, y = matrix_from_rows(QQ, x_rows), matrix_from_rows(QQ, y_rows)
+        z = x + y
+        assert max(abs(e) for e in (z @ z).entries) * 49 == 2**k + delta
+        _assert_mask_matches_commutators([x, z, -z, y, z, -x])
+        tried += 1
+    assert tried >= 30
 
 
 @settings(max_examples=60)

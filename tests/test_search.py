@@ -1,8 +1,11 @@
 """Search oracle: brute-force cross-checks, the reference sweep, budgets and determinism."""
 
 import itertools
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -267,3 +270,17 @@ def test_bracket_status_when_rmax_too_small():
     assert report.status == STATUS_BRACKET
     assert report.lower == 2
     assert report.upper is None
+
+
+SURVEY = Path(__file__).resolve().parent.parent / "scripts" / "min_dim_survey.py"
+
+
+@pytest.mark.parametrize("budget, status", [(1, 1), (10**6, 0)])
+def test_survey_exit_status_reports_open_classes(budget, status):
+    # a one-node budget leaves classes on 3 vertices open; a large one settles them all
+    run = subprocess.run(
+        [sys.executable, str(SURVEY), "--max-vertices", "3", "--budget", str(budget)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == status
+    assert ("exhausted_budget" in run.stdout) == bool(status)
