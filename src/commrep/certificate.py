@@ -32,7 +32,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .commgraph import Assignment, matching_graph, realizes
-from .errors import FieldTooSmallError, PatternViolationError, SchemaError, json_int
+from .errors import FieldTooSmallError, PatternViolationError, json_int, json_list, json_object
 from .exactla import (
     FieldSpec,
     Matrix,
@@ -40,10 +40,10 @@ from .exactla import (
     _integer_rows,
     commutator,
     dot,
-    matrix_from_rows,
+    field_from_json,
     rank,
-    scalar_from_json,
     scalar_to_json,
+    scalars_from_json,
     span_rank,
 )
 
@@ -373,38 +373,20 @@ def certificate_to_json(cert: LowerBoundCertificate) -> dict:
 
 
 def certificate_from_json(doc, path: str = "certificate") -> LowerBoundCertificate:
-    if not isinstance(doc, dict):
-        raise SchemaError("certificate must be an object", path)
-    for key in ("field", "n", "r", "v", "alpha", "gram", "image_rank", "bound"):
-        if key not in doc:
-            raise SchemaError(f"missing key {key!r}", path)
-    try:
-        field = FieldSpec.from_name(doc["field"])
-    except ValueError as e:
-        raise SchemaError(str(e), f"{path}.field") from None
+    json_object(doc, ("field", "n", "r", "v", "alpha", "gram", "image_rank", "bound"), "certificate", path)
+    field = field_from_json(doc["field"], f"{path}.field")
     n = json_int(doc["n"], 1, f"{path}.n")
     r, image_rank, bound = (
         json_int(doc[key], 0, f"{path}.{key}") for key in ("r", "image_rank", "bound")
     )
-    if not isinstance(doc["v"], list) or not isinstance(doc["alpha"], list):
-        raise SchemaError("'v' and 'alpha' must be lists", path)
-    v = tuple(scalar_from_json(x, field, f"{path}.v[{k}]") for k, x in enumerate(doc["v"]))
-    alpha = tuple(
-        scalar_from_json(x, field, f"{path}.alpha[{k}]") for k, x in enumerate(doc["alpha"])
-    )
-    gram_rows = doc["gram"]
-    if (
-        not isinstance(gram_rows, list)
-        or len(gram_rows) != 2 * n
-        or any(not isinstance(row, list) or len(row) != 2 * n for row in gram_rows)
-    ):
-        raise SchemaError(f"'gram' must be a {2 * n} x {2 * n} array", f"{path}.gram")
-    gram = matrix_from_rows(
-        field,
-        [
-            [scalar_from_json(x, field, f"{path}.gram[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(gram_rows)
-        ],
+    for key in ("v", "alpha"):  # the first fault reported: both shapes, then their scalars
+        json_list(doc[key], f"{path}.{key}")
+    v, alpha = (scalars_from_json(doc[key], field, f"{path}.{key}") for key in ("v", "alpha"))
+    gram_rows = json_list(doc["gram"], f"{path}.gram", 2 * n)
+    for i, row in enumerate(gram_rows):  # likewise every row's shape before any Gram scalar
+        json_list(row, f"{path}.gram[{i}]", 2 * n)
+    gram = _canonical_matrix(
+        [scalars_from_json(row, field, f"{path}.gram[{i}]") for i, row in enumerate(gram_rows)], field
     )
     return LowerBoundCertificate(
         field=field,

@@ -66,12 +66,10 @@ def _field_arg(text: str) -> FieldSpec:
 
 def _load_json(pathname: str):
     try:
-        text = Path(pathname).read_text()
+        return json.loads(Path(pathname).read_text())
     except OSError as e:
         raise SchemaError(str(e), pathname) from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad syntax or UTF-8, too many digits, too deep
         raise SchemaError(f"invalid JSON: {e}", pathname) from None
 
 

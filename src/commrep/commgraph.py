@@ -20,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import SchemaError, json_int
-from .exactla import FieldSpec, Matrix
+from .errors import SchemaError, json_int, json_list, json_object
+from .exactla import FieldSpec, Matrix, matrix_from_json, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -335,19 +335,12 @@ def graph_to_json(g: CommGraph) -> dict:
 
 
 def graph_from_json(doc, path: str = "graph") -> CommGraph:
-    if not isinstance(doc, dict):
-        raise SchemaError("graph must be an object", path)
-    if "vertices" not in doc or "edges" not in doc:
-        raise SchemaError("graph needs 'vertices' and 'edges'", path)
+    json_object(doc, ("vertices", "edges"), "graph", path)
     m = json_int(doc["vertices"], 1, f"{path}.vertices")
-    edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise SchemaError("'edges' must be a list", f"{path}.edges")
-    pairs = []
-    for k, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise SchemaError("edge must be [u, v]", f"{path}.edges[{k}]")
-        pairs.append(tuple(json_int(x, 1, f"{path}.edges[{k}]") for x in e))
+    pairs = [
+        tuple(json_int(x, 1, f"{path}.edges[{k}]") for x in json_list(e, f"{path}.edges[{k}]", 2))
+        for k, e in enumerate(json_list(doc["edges"], f"{path}.edges"))
+    ]
     try:
         return CommGraph.make(m, pairs)
     except ValueError as err:
@@ -355,21 +348,14 @@ def graph_from_json(doc, path: str = "graph") -> CommGraph:
 
 
 def assignment_to_json(a: Assignment, **extra) -> dict:
-    from .exactla import matrix_to_json
-
     doc = {"matrices": [matrix_to_json(m) for m in a.matrices]}
     doc.update(extra)
     return doc
 
 
 def assignment_from_json(doc, path: str = "assignment") -> Assignment:
-    from .exactla import matrix_from_json
-
-    if not isinstance(doc, dict) or "matrices" not in doc:
-        raise SchemaError("assignment needs a 'matrices' list", path)
-    mats = doc["matrices"]
-    if not isinstance(mats, list) or not mats:
-        raise SchemaError("'matrices' must be a nonempty list", f"{path}.matrices")
+    json_object(doc, ("matrices",), "assignment", path)
+    mats = json_list(doc["matrices"], f"{path}.matrices", minimum=1)
     matrices = tuple(
         matrix_from_json(m, f"{path}.matrices[{k}]") for k, m in enumerate(mats)
     )

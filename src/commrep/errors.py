@@ -1,8 +1,13 @@
-"""Exception hierarchy shared by every module, with stable CLI exit codes.
+"""Exception hierarchy shared by every module, with stable CLI exit codes,
+and the checks every JSON document reader shares.
 
 Exit code contract: 0 success, 1 internal/parse error, 2 domain refusal,
 3 budget exceeded (budget exhaustion is reported via search status, not an
 exception; the CLI maps it to 3).
+
+Every reader of an input document (``*_from_json``) checks its shape with
+``json_object``, ``json_list`` and ``json_int`` and raises only
+``SchemaError``, whose message starts with the JSON path of the first fault.
 """
 
 from __future__ import annotations
@@ -24,6 +29,27 @@ class SchemaError(CommrepError):
     def __init__(self, message, path=""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def json_object(doc, keys, what: str, path: str) -> dict:
+    """A JSON object holding every key in ``keys``; missing keys are reported in that order."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be an object", path)
+    for key in keys:
+        if key not in doc:
+            raise SchemaError(f"missing key {key!r}", path)
+    return doc
+
+
+def json_list(value, path: str, length=None, minimum: int = 0) -> list:
+    """A JSON array of exactly ``length`` items, or else of at least ``minimum``."""
+    if not isinstance(value, list):
+        raise SchemaError("expected an array", path)
+    if length is not None and len(value) != length:
+        raise SchemaError(f"expected an array of {length} items, got {len(value)}", path)
+    if len(value) < minimum:
+        raise SchemaError(f"expected an array of at least {minimum} items, got {len(value)}", path)
+    return value
 
 
 def json_int(value, minimum: int, path: str) -> int:

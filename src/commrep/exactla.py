@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .errors import SchemaError, json_int, json_list, json_object
+
 ScalarValue = Union[Fraction, int]
 
 # shared immutable constants, so dense views and vectors allocate no new zeros
@@ -112,7 +114,7 @@ class FieldSpec:
     def from_name(name: str) -> "FieldSpec":
         if name == "Q":
             return FieldSpec.rationals()
-        if name.startswith("Fp:"):
+        if isinstance(name, str) and name.startswith("Fp:"):
             body = name[3:]
             if not body.isdigit():
                 raise ValueError(f"bad field name {name!r}")
@@ -130,7 +132,10 @@ class FieldSpec:
     def scalar(self, x) -> ScalarValue:
         """Coerce ``x`` (int, Fraction, or "a/b" string) to a canonical scalar."""
         if isinstance(x, str):
-            x = Fraction(x)
+            try:
+                x = Fraction(x)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {x!r}") from None
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise ValueError(f"cannot coerce {x!r} to a {self.name()} scalar")
         if self.is_rationals:
@@ -144,9 +149,6 @@ class FieldSpec:
 
     def add(self, a, b):
         return a + b if self.is_rationals else (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        return a - b if self.is_rationals else (a - b) % self.characteristic
 
     def mul(self, a, b):
         return a * b if self.is_rationals else (a * b) % self.characteristic
@@ -625,8 +627,6 @@ def scalar_to_json(x: ScalarValue, field: FieldSpec):
 
 
 def scalar_from_json(obj, field: FieldSpec, path: str = "scalar") -> ScalarValue:
-    from .errors import SchemaError
-
     if field.is_rationals:
         if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(s, str) for s in obj)):
             raise SchemaError('rational scalar must be ["num","den"]', path)
@@ -658,24 +658,23 @@ def matrix_to_json(a: Matrix) -> dict:
     }
 
 
-def matrix_from_json(doc, path: str = "matrix") -> Matrix:
-    from .errors import SchemaError, json_int
+def scalars_from_json(values, field: FieldSpec, path: str, length=None) -> tuple:
+    """A JSON array of ``length`` scalars (any length when None), read by ``scalar_from_json``."""
+    json_list(values, path, length)
+    return tuple(scalar_from_json(x, field, f"{path}[{k}]") for k, x in enumerate(values))
 
-    if not isinstance(doc, dict):
-        raise SchemaError("matrix must be an object", path)
-    for key in ("field", "rows", "cols", "entries"):
-        if key not in doc:
-            raise SchemaError(f"missing key {key!r}", path)
+
+def field_from_json(name, path: str) -> FieldSpec:
     try:
-        field = FieldSpec.from_name(doc["field"])
+        return FieldSpec.from_name(name)
     except ValueError as e:
-        raise SchemaError(str(e), f"{path}.field") from None
+        raise SchemaError(str(e), path) from None
+
+
+def matrix_from_json(doc, path: str = "matrix") -> Matrix:
+    json_object(doc, ("field", "rows", "cols", "entries"), "matrix", path)
+    field = field_from_json(doc["field"], f"{path}.field")
     rows = json_int(doc["rows"], 1, f"{path}.rows")
     cols = json_int(doc["cols"], 1, f"{path}.cols")
-    ent = doc["entries"]
-    if not isinstance(ent, list) or len(ent) != rows * cols:
-        raise SchemaError(f"expected {rows * cols} entries", f"{path}.entries")
-    values = tuple(
-        scalar_from_json(e, field, f"{path}.entries[{k}]") for k, e in enumerate(ent)
-    )
-    return Matrix(field, rows, cols, values)
+    entries = scalars_from_json(doc["entries"], field, f"{path}.entries", rows * cols)
+    return Matrix(field, rows, cols, entries)

@@ -30,16 +30,19 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
-from .errors import GuardError, SchemaError, json_int
+from .errors import GuardError, SchemaError, json_int, json_list, json_object
 from .exactla import (
     FieldSpec,
     Matrix,
     _insert_row,
     block_diagonal,
+    field_from_json,
     identity,
     inverse,
     is_invertible,
+    matrix_from_json,
     matrix_from_rows,
+    matrix_to_json,
 )
 
 SPIN_ENUM_CAP = 100  # largest p^dim whose vectors we enumerate (2^6, 3^4 fit)
@@ -231,21 +234,10 @@ def counting_chain_check(dims: Sequence[Sequence[int]]) -> CountCheck:
 
 
 def module_from_json(doc, path: str = "module") -> ModuleSpec:
-    from .exactla import matrix_from_json
-
-    if not isinstance(doc, dict):
-        raise SchemaError("module must be an object", path)
-    for key in ("field", "dim", "generators"):
-        if key not in doc:
-            raise SchemaError(f"missing key {key!r}", path)
-    try:
-        field = FieldSpec.from_name(doc["field"])
-    except ValueError as e:
-        raise SchemaError(str(e), f"{path}.field") from None
+    json_object(doc, ("field", "dim", "generators"), "module", path)
+    field = field_from_json(doc["field"], f"{path}.field")
     dim = json_int(doc["dim"], 1, f"{path}.dim")
-    gens = doc["generators"]
-    if not isinstance(gens, list) or not gens:
-        raise SchemaError("'generators' must be a nonempty list", f"{path}.generators")
+    gens = json_list(doc["generators"], f"{path}.generators", minimum=1)
     matrices = tuple(
         matrix_from_json(g, f"{path}.generators[{k}]") for k, g in enumerate(gens)
     )
@@ -256,8 +248,6 @@ def module_from_json(doc, path: str = "module") -> ModuleSpec:
 
 
 def report_to_json(report: CompositionReport) -> dict:
-    from .exactla import matrix_to_json
-
     return {
         "factor_dims": list(report.factor_dims),
         "series": list(report.series),
@@ -282,12 +272,8 @@ def count_check_to_json(check: CountCheck) -> dict:
 
 
 def dims_from_json(doc, path: str = "dims") -> list:
-    if not isinstance(doc, dict) or "dims" not in doc:
-        raise SchemaError("expected an object with a 'dims' table", path)
-    table = doc["dims"]
-    if not isinstance(table, list) or not table:
-        raise SchemaError("'dims' must be a nonempty list of rows", f"{path}.dims")
+    json_object(doc, ("dims",), "dims table", path)
+    table = json_list(doc["dims"], f"{path}.dims", minimum=1)
     for k, row in enumerate(table):
-        if not isinstance(row, list) or not row:
-            raise SchemaError("rows must be nonempty lists", f"{path}.dims[{k}]")
+        json_list(row, f"{path}.dims[{k}]", minimum=1)
     return table

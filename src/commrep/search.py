@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .commgraph import Assignment, CommGraph, assignment_to_json, graph_to_json, realizes
-from .errors import InvalidHintError
+from .errors import GuardError, InvalidHintError
 from .exactla import (
     GF,
     FieldSpec,
@@ -52,6 +52,7 @@ MODE_INVERTIBLE = "invertible_only"
 WITNESS_RULE = "first_in_representative_order"
 
 CLASS_CAP = 2 * 10**6  # refuse levels with more scalar-shift classes than this
+VERTEX_CAP = 1000  # refuse graphs with more vertices than this: the sweep's state grows with m^2
 _ROW_CACHE_BITS = 2**25  # cached rows of one (r, p) are dropped beyond this many bits
 
 
@@ -172,6 +173,11 @@ def _classes(r: int, p: int) -> _Classes:
     return _Classes(r, p)
 
 
+def _check_vertex_cap(graph: CommGraph) -> None:
+    if graph.vertex_count > VERTEX_CAP:
+        raise GuardError(f"graph has {graph.vertex_count} vertices; search handles at most {VERTEX_CAP}")
+
+
 def exists_realization(
     graph: CommGraph,
     field: FieldSpec,
@@ -190,6 +196,7 @@ def exists_realization(
         raise ValueError("dimension must be positive")
     if mode not in (MODE_ALL, MODE_INVERTIBLE):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_vertex_cap(graph)
     p = field.characteristic
     # the class count is at least 2^(r^2 - 1), so the power is taken for small r only
     if r * r > CLASS_CAP.bit_length() or class_count(r, p) > CLASS_CAP:
@@ -246,6 +253,7 @@ def min_realization_dim(
         raise ValueError("exhaustive search needs a finite field")
     if r_max < 1:
         raise ValueError("r_max must be positive")
+    _check_vertex_cap(graph)
 
     upper = witness = None
     if hint is not None:

@@ -34,7 +34,10 @@ def workdir(tmp_path):
 
 def _write(workdir, name, doc):
     path = workdir / name
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -235,14 +238,36 @@ _CERT = {"field": "Q", "n": 1, "r": 2, "v": [["0", "1"], ["1", "1"]], "alpha": [
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
          [{"matrices": [_ONE, _ONE]}, {"vertices": True, "edges": []}], 1, "schema"),
         (["count-check", "--dims", "{a}"], [{"dims": [[True, 2]]}], 2, "invalid_argument"),
+        (["witness", "--n", "2", "--lambda", "1/0", "--field", "Q"], [], 2, "invalid_argument"),
+        (["witness", "--n", "2", "--lambda", "1/0", "--field", "Fp:5"], [], 2, "invalid_argument"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [b"[" * 200_000, {"vertices": 2, "edges": []}], 1, "schema"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [b"\xff{", {"vertices": 2, "edges": []}], 1, "schema"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": [_ONE]}, b'{"vertices": 1' + b"0" * 5000 + b', "edges": []}'], 1, "schema"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": [dict(_ONE, field=7)]}, {"vertices": 1, "edges": []}], 1, "schema"),
+        (["split", "--module", "{a}"],
+         [{"field": ["Fp:2"], "dim": 1, "generators": [dict(_ONE, field="Fp:2", entries=["1"])]}], 1, "schema"),
+        (["verify-cert", "--cert", "{a}", "--input", "{b}"],
+         [dict(_CERT, field=None), {"matrices": [_ONE, _ONE]}], 1, "schema"),
+        (["search", "--graph", "{a}", "--field", "Fp:2", "--rmax", "1"],
+         [{"vertices": 10**9, "edges": []}], 2, "guard_violation"),
     ],
-    ids=["cert-n-zero", "cert-image-rank-true", "matrix-rows-true", "graph-vertices-true", "dims-entry-true"],
+    ids=["cert-n-zero", "cert-image-rank-true", "matrix-rows-true", "graph-vertices-true", "dims-entry-true",
+         "lambda-zero-denominator-q", "lambda-zero-denominator-fp", "nesting-too-deep", "not-utf8",
+         "number-too-long", "matrix-field-not-string", "module-field-not-string", "cert-field-not-string",
+         "search-vertices-above-cap"],
 )
 def test_json_booleans_and_empty_certificate_are_typed_errors(workdir, command, files, exit_code, code):
     paths = {name: _write(workdir, f"{name}.json", doc) for name, doc in zip("ab", files)}
     res = run_cli(*(arg.format(**paths) for arg in command))
     assert res.returncode == exit_code
-    assert payload(res)["error"]["code"] == code
+    error = payload(res)["error"]
+    assert error["code"] == code
+    if code == "schema":  # the message starts with the file and the JSON path of the first fault
+        assert error["message"].startswith(tuple(paths.values()))
 
 
 def test_selftest_passes():

@@ -47,6 +47,9 @@ def test_field_equality_and_names():
     assert FieldSpec.from_name("Q") == QQ
     assert FieldSpec.from_name("Fp:13") == GF(13)
     assert GF(13).name() == "Fp:13"
+    for bad in (None, 7, ["Q"], {"Fp": 2}, "Fp:4", "F2"):
+        with pytest.raises(ValueError):
+            FieldSpec.from_name(bad)
 
 
 @pytest.mark.parametrize("bad", [1, 4, 6, 9, 100, -3])
@@ -66,6 +69,9 @@ def test_scalar_coercion():
     assert GF(7).scalar(F("1/2")) == 4  # 2 * 4 = 8 = 1 mod 7
     with pytest.raises(ValueError):
         GF(3).scalar(F("1/3"))
+    for field in (QQ, GF(5)):
+        with pytest.raises(ValueError):
+            field.scalar("1/0")
 
 
 @given(st.sampled_from([QQ, GF(2), GF(5), GF(97)]), st.data())

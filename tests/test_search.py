@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from commrep.commgraph import Assignment, CommGraph, matching_graph, realizes
-from commrep.errors import InvalidHintError
+from commrep.errors import GuardError, InvalidHintError
 from commrep.exactla import GF, Matrix, commutator, is_invertible
 from commrep.search import (
     BUDGET_EXCEEDED,
@@ -21,6 +21,7 @@ from commrep.search import (
     STATUS_BRACKET,
     STATUS_EXACT,
     STATUS_EXHAUSTED,
+    VERTEX_CAP,
     _classes,
     class_count,
     exists_realization,
@@ -210,6 +211,14 @@ def test_level_over_the_class_cap_is_refused_at_once():
         tracemalloc.stop()
     assert (out.status, out.witness, out.nodes) == (BUDGET_EXCEEDED, None, 0)
     assert elapsed < 0.5 and peak < 10 * 2**20
+
+
+def test_graph_over_the_vertex_cap_is_refused():
+    big = CommGraph.make(VERTEX_CAP + 1, [])
+    with pytest.raises(GuardError):
+        exists_realization(big, GF(2), 1)
+    with pytest.raises(GuardError):
+        min_realization_dim(big, GF(2), 1)
 
 
 def _commutes(a, b, r, p):
