@@ -136,7 +136,7 @@ def _write(path, doc):
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutated_documents_end_in_typed_errors(fuzz_dir, kind, data):
     reader, role, field = _KINDS[kind]
