@@ -57,7 +57,6 @@ from .modsplit import (
     composition_factor_dims,
     counting_chain_check,
     is_triangularizable,
-    minimal_invariant_subspace,
     spin,
 )
 from .search import (
@@ -110,7 +109,6 @@ __all__ = [
     "matching_lower_bound",
     "matrix_from_rows",
     "min_realization_dim",
-    "minimal_invariant_subspace",
     "pairs_from_assignment",
     "product_block_embedding",
     "rank",

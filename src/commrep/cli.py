@@ -29,8 +29,9 @@ from .commgraph import (
     realizes,
 )
 from .errors import CommrepError, SchemaError
-from .exactla import GF, QQ, FieldSpec, scalar_to_json
+from .exactla import GF, QQ, FieldSpec, matrix_from_rows, scalar_to_json
 from .modsplit import (
+    ModuleSpec,
     counting_chain_check,
     count_check_to_json,
     dims_from_json,
@@ -39,7 +40,7 @@ from .modsplit import (
     report_to_json as split_report_to_json,
 )
 from .search import STATUS_EXHAUSTED, min_realization_dim, report_to_json
-from .witness import sharp_witness
+from .witness import product_block_embedding, sharp_witness
 
 
 class UsageError(CommrepError):
@@ -214,9 +215,17 @@ def cmd_selftest(ns):
         assert report.status == "exact"
         assert report.lower == report.upper == 3
 
+    def split_sl2_f5_squared():
+        # the block embedding of SL_2(F_5) x SL_2(F_5) has two 2-dimensional factors
+        f5 = GF(5)
+        sl2 = [matrix_from_rows(f5, [[1, 1], [0, 1]]), matrix_from_rows(f5, [[0, 4], [1, 0]])]
+        spec = ModuleSpec(f5, 4, tuple(product_block_embedding([sl2, sl2])))
+        assert composition_factor_dims(spec).factor_dims == (2, 2)
+
     record("witness_round_trips_n_1_to_10", witness_round_trips)
     record("certificate_trace_n1", certificate_trace)
     record("matching_two_search_exact_3", matching_two_search)
+    record("split_sl2_f5_squared", split_sl2_f5_squared)
 
     ok = all(c["ok"] for c in checks)
     return {"selftest": "pass" if ok else "fail", "checks": checks}, 0 if ok else 1

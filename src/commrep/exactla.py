@@ -626,23 +626,32 @@ def scalar_to_json(x: ScalarValue, field: FieldSpec):
     return str(x)
 
 
+def _decimal(text: str) -> Optional[int]:
+    """The integer a decimal string spells (ASCII digits, optional leading '-'), or None."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def scalar_from_json(obj, field: FieldSpec, path: str = "scalar") -> ScalarValue:
     if field.is_rationals:
         if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(s, str) for s in obj)):
             raise SchemaError('rational scalar must be ["num","den"]', path)
-        try:
-            num, den = int(obj[0]), int(obj[1])
-        except ValueError:
-            raise SchemaError(f"non-integer rational parts {obj!r}", path) from None
+        num, den = _decimal(obj[0]), _decimal(obj[1])
+        if num is None or den is None:
+            raise SchemaError(f"non-integer rational parts {obj!r}", path)
         if den <= 0:
             raise SchemaError("denominator must be positive", path)
         return Fraction(num, den)
     if not isinstance(obj, str):
         raise SchemaError("prime-field scalar must be a decimal string", path)
-    try:
-        val = int(obj)
-    except ValueError:
-        raise SchemaError(f"non-integer residue {obj!r}", path) from None
+    val = _decimal(obj)
+    if val is None:
+        raise SchemaError(f"non-integer residue {obj!r}", path)
     p = field.characteristic
     if not 0 <= val < p:
         raise SchemaError(f"residue {val} outside [0, {p})", path)
@@ -659,9 +668,16 @@ def matrix_to_json(a: Matrix) -> dict:
 
 
 def scalars_from_json(values, field: FieldSpec, path: str, length=None) -> tuple:
-    """A JSON array of ``length`` scalars (any length when None), read by ``scalar_from_json``."""
+    """A JSON array of ``length`` scalars (any length when None), read by ``scalar_from_json``.
+
+    The canonical zero text, ``"0"`` over F_p and ``["0","1"]`` over Q, is read
+    without coercion; any other text, a malformed zero included, takes the full check.
+    """
     json_list(values, path, length)
-    return tuple(scalar_from_json(x, field, f"{path}[{k}]") for k, x in enumerate(values))
+    zero, zero_text = field.zero(), scalar_to_json(field.zero(), field)
+    return tuple(
+        zero if x == zero_text else scalar_from_json(x, field, f"{path}[{k}]") for k, x in enumerate(values)
+    )
 
 
 def field_from_json(name, path: str) -> FieldSpec:

@@ -1,13 +1,35 @@
-"""Desk-scale module decomposition over small prime fields.
+"""Module decomposition over prime fields by Norton's irreducibility test.
 
-A module is given by invertible generator matrices acting on F_p^d.  The
-composition series is found by spinning: the smallest invariant subspace
-containing a vector is computed by closing it under the generators, every
-minimal submodule is cyclic, and enumerating all nonzero seed vectors is
-affordable at the guarded sizes (p^d <= 100, e.g. d <= 6 over F_2 and
-d <= 4 over F_3).  Quotients are read off the lower-right blocks after a
-change of basis that extends the submodule basis, which yields the full
-flag basis for free.
+A module is given by invertible generator matrices acting on F_p^d.  Each
+step of the composition series is a deterministic MeatAxe: Parker's, with
+Norton's irreducibility test as in Holt and Rees, "Testing modules for
+irreducibility" (1994).
+
+* Walk a fixed list of algebra elements theta = w - lambda*I, where w runs
+  over the generators, their pairwise sums, their products, and their
+  products plus a generator, and lambda over F_p; the list ends with
+  theta = 0.  Take the first theta with a nonzero kernel.
+* Spin every projective point of ker theta (first nonzero coefficient 1).
+  A proper result is a submodule.
+* Otherwise spin one vector u of ker theta^T under the transposed
+  generators.  If that gives the whole space, the module is irreducible: a
+  proper submodule U that misses ker theta has theta(U) = U inside
+  im theta, so u and everything it spins to annihilate U.  If it gives a
+  proper space W, the annihilator of W is a proper submodule.
+
+Every kernel point is spun, not just one, and the list ends with theta = 0,
+because a module can be irreducible without being absolutely irreducible:
+with endomorphism field F_{p^e}, e > 1, no theta has a one-dimensional
+kernel.  Two-dimensional modules over F_2 and F_3 often have an F_4 or F_9
+endomorphism field, and a lone companion matrix of an irreducible
+polynomial spans a field of its own.
+
+A submodule splits the module into itself and the quotient, read off the
+diagonal blocks after a change of basis that extends a submodule basis.
+Both are split again, from an explicit stack, and the basis vectors of the
+irreducible pieces, in order, form the flag basis.  A module above
+``DIM_CAP`` or a split that needs more than ``SPLIT_BUDGET`` kernels and
+spins ends with ``GuardError``, never with a verdict.
 
 Factors are computed over the base field only (a factor irreducible here
 may split over an extension) and every report carries that marker.
@@ -24,9 +46,9 @@ with S_j the set of columns where row j has an entry >= 2.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
 from typing import Optional, Sequence
 
@@ -35,17 +57,20 @@ from .exactla import (
     FieldSpec,
     Matrix,
     _insert_row,
-    block_diagonal,
+    _reduced_form,
     field_from_json,
     identity,
     inverse,
     is_invertible,
+    kernel_basis,
     matrix_from_json,
     matrix_from_rows,
     matrix_to_json,
+    zeros,
 )
 
-SPIN_ENUM_CAP = 100  # largest p^dim whose vectors we enumerate (2^6, 3^4 fit)
+DIM_CAP = 32  # largest module dimension split
+SPLIT_BUDGET = 300  # kernels of candidate thetas plus spins one split may make
 
 VERDICT_SATISFIED = "satisfied"
 VERDICT_PRECONDITION_FAILED = "precondition_failed"
@@ -83,14 +108,6 @@ class CompositionReport:
     base_field_only: bool = True
 
 
-def _guard(spec: ModuleSpec):
-    if spec.field.characteristic**spec.dim > SPIN_ENUM_CAP:
-        raise GuardError(
-            f"p^dim = {spec.field.characteristic}^{spec.dim} exceeds the "
-            f"enumeration cap {SPIN_ENUM_CAP}"
-        )
-
-
 def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
     """Canonical RREF basis of the smallest invariant subspace containing ``vector``."""
     p = spec.field.characteristic
@@ -110,59 +127,128 @@ def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
     return tuple(tuple(row) for row in basis)
 
 
-def minimal_invariant_subspace(spec: ModuleSpec) -> Optional[tuple]:
-    """Proper nonzero invariant subspace of least dimension, or None if irreducible.
+class _Budget:
+    """Kernels and spins left to one split; running out is a ``GuardError``."""
 
-    Spins every nonzero vector (minimal submodules are cyclic) and returns
-    the least result under (dimension, lexicographic basis) order.
-    """
-    _guard(spec)
-    p = spec.field.characteristic
-    best = None
-    for vec in itertools.product(range(p), repeat=spec.dim):
-        if not any(vec):
+    def __init__(self):
+        self.left = SPLIT_BUDGET
+
+    def charge(self):
+        if not self.left:
+            raise GuardError(f"splitting needs more than {SPLIT_BUDGET} kernels and spins")
+        self.left -= 1
+
+
+def _words(gens: tuple):
+    """The generators, their pairwise sums, their products, then products plus a generator."""
+    yield from gens
+    for i, a in enumerate(gens):
+        for b in gens[i + 1 :]:
+            yield a + b
+    for a in gens:
+        for b in gens:
+            yield a @ b
+    for a in gens:
+        for b in gens:
+            ab = a @ b
+            for c in gens:
+                yield ab + c
+
+
+def _thetas(spec: ModuleSpec):
+    """theta = w - lambda*I for each distinct word w and each lambda in F_p, then theta = 0."""
+    eye = identity(spec.dim, spec.field)
+    seen = set()
+    for w in _words(spec.generators):
+        if w in seen:  # a repeated word gives the same thetas
             continue
-        basis = spin(vec, spec)
-        if len(basis) < spec.dim:
-            key = (len(basis), basis)
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[1]
+        seen.add(w)
+        for lam in range(spec.field.characteristic):
+            yield w - eye.scale(lam)
+    yield zeros(spec.dim, spec.dim, spec.field)
+
+
+def _points(kernel: list, p: int):
+    """Every projective point of span(kernel): first nonzero coefficient 1, in a fixed order."""
+    for lead, head in enumerate(kernel):
+        tail = kernel[lead + 1 :]
+        for n in range(p ** len(tail)):
+            v = list(head)
+            for b in tail:
+                n, c = divmod(n, p)
+                if c:
+                    v = [(x + c * y) % p for x, y in zip(v, b)]
+            yield v
+
+
+def _submodule(spec: ModuleSpec, budget: _Budget) -> Optional[Sequence]:
+    """Basis rows of a proper nonzero submodule, or None when ``spec`` is irreducible."""
+    if spec.dim == 1:
+        return None
+    for theta in _thetas(spec):  # the last theta, 0, has kernel V
+        budget.charge()
+        kernel = kernel_basis(theta)
+        if kernel:
+            break
+    for v in _points(kernel, spec.field.characteristic):
+        budget.charge()
+        sub = spin(v, spec)
+        if len(sub) < spec.dim:
+            return sub
+    # so a proper submodule misses ker theta, lies in im theta, and is annihilated by
+    # ker theta^T and by everything a vector of it spins to under the transposes
+    dual = ModuleSpec(spec.field, spec.dim, tuple(g.transpose() for g in spec.generators))
+    budget.charge()
+    annihilated = spin(kernel_basis(theta.transpose())[0], dual)
+    if len(annihilated) == spec.dim:
+        return None
+    return kernel_basis(matrix_from_rows(spec.field, annihilated))
+
+
+def _diagonal_block(c: Matrix, lo: int, hi: int) -> Matrix:
+    """Rows and columns lo..hi-1 of ``c``."""
+    rows = tuple(tuple((j - lo, x) for j, x in row if lo <= j < hi) for row in c.nonzero_rows[lo:hi])
+    return Matrix._sparse(c.field, hi - lo, hi - lo, rows)
 
 
 def _factor_chain(spec: ModuleSpec):
-    sub = minimal_invariant_subspace(spec)
-    if sub is None:
-        return (spec.dim,), (0, spec.dim), identity(spec.dim, spec.field)
-    w = len(sub)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in sub]
-    complement = [j for j in range(spec.dim) if j not in pivots]
-    columns = [list(row) for row in sub] + [
-        [1 if i == j else 0 for i in range(spec.dim)] for j in complement
-    ]
-    basis = matrix_from_rows(spec.field, columns).transpose()
-    basis_inv = inverse(basis)
-    conjugated = [basis_inv @ g @ basis for g in spec.generators]
-    for c in conjugated:  # invariance shows up as a zero lower-left block
-        assert all(
-            j >= w for row in c.nonzero_rows[w:] for j, _ in row
-        ), "submodule basis failed to block-triangularize"
-    quotient = ModuleSpec(
-        spec.field,
-        spec.dim - w,
-        tuple(
-            matrix_from_rows(spec.field, [row[w:] for row in c.rows_list()[w:]])
-            for c in conjugated
-        ),
-    )
-    q_dims, q_series, q_flag = _factor_chain(quotient)
-    flag = basis @ block_diagonal([identity(w, spec.field), q_flag])
-    return (w,) + q_dims, (0,) + tuple(w + s for s in q_series), flag
+    field, d, p = spec.field, spec.dim, spec.field.characteristic
+    budget = _Budget()
+    dims, flag_rows = [], []
+    # each piece is a module and its basis vectors, as rows in the coordinates of spec
+    stack = [(spec, identity(d, field))]
+    while stack:
+        piece, vectors = stack.pop()
+        sub = _submodule(piece, budget)
+        if sub is None:
+            dims.append(piece.dim)
+            flag_rows.extend(vectors.nonzero_rows)
+            continue
+        k = piece.dim
+        basis, pivots = _reduced_form([list(row) for row in sub], k, p)
+        w = len(basis)
+        columns = basis + [[int(i == j) for i in range(k)] for j in range(k) if j not in pivots]
+        change_t = matrix_from_rows(field, columns)
+        change = change_t.transpose()
+        change_inv = inverse(change)
+        conjugated = [change_inv @ g @ change for g in piece.generators]
+        for c in conjugated:  # invariance shows up as a zero lower-left block
+            assert all(
+                j >= w for row in c.nonzero_rows[w:] for j, _ in row
+            ), "submodule basis failed to block-triangularize"
+        submodule = ModuleSpec(field, w, tuple(_diagonal_block(c, 0, w) for c in conjugated))
+        quotient = ModuleSpec(field, k - w, tuple(_diagonal_block(c, w, k) for c in conjugated))
+        moved = (change_t @ vectors).nonzero_rows
+        stack.append((quotient, Matrix._sparse(field, k - w, d, moved[w:])))
+        stack.append((submodule, Matrix._sparse(field, w, d, moved[:w])))
+    flag = Matrix._sparse(field, d, d, tuple(flag_rows)).transpose()
+    return tuple(dims), tuple(accumulate(dims, initial=0)), flag
 
 
 def composition_factor_dims(spec: ModuleSpec) -> CompositionReport:
     """Full composition series with an explicit flag basis, verified by conjugation."""
-    _guard(spec)
+    if spec.dim > DIM_CAP:
+        raise GuardError(f"module dimension {spec.dim} exceeds the cap {DIM_CAP}")
     dims, series, flag = _factor_chain(spec)
     flag_inv = inverse(flag)
     for g in spec.generators:

@@ -4,13 +4,20 @@ Each function here is an independent implementation of one job that
 ``commrep.exactla._insert_row`` now does for every caller: Bareiss
 fraction-free echelon form over Q, plain Gaussian elimination over F_p,
 Gauss-Jordan inversion, triangular invertibility of a flat entry tuple, and
-the RREF-insertion spin over F_p.  The differential tests in
-``test_elimination_oracle.py`` require the library to agree with them.
+the RREF-insertion spin over F_p.  The spin also drives the enumeration
+splitter that ``commrep.modsplit`` replaced with Norton's test: the least
+submodule found by spinning every nonzero vector, and the composition factor
+dimensions read off by quotienting by it, both for p^dim <= 100.  The
+differential tests in ``test_elimination_oracle.py`` require the library to
+agree with them.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+from commrep.exactla import matrix_from_rows
+from commrep.modsplit import ModuleSpec
 
 
 def integer_rows(a):
@@ -211,3 +218,39 @@ def minimal_invariant_subspace(spec):
             if len(basis) < spec.dim and (best is None or (len(basis), basis) < best):
                 best = (len(basis), basis)
     return None if best is None else best[1]
+
+
+def quotient_generators(spec, sub):
+    """Generators on V/U as residue rows, for an RREF basis ``sub`` of the submodule U.
+
+    The quotient's coordinates are the non-pivot coordinates of a vector
+    reduced against ``sub``; the images of the non-pivot unit vectors give
+    the columns.
+    """
+    p = spec.field.characteristic
+    pivots = [next(j for j, x in enumerate(row) if x) for row in sub]
+    free = [j for j in range(spec.dim) if j not in pivots]
+    out = []
+    for g in spec.generators:
+        columns = []
+        for c in free:
+            img = list(g.apply(tuple(int(i == c) for i in range(spec.dim))))
+            for row, pc in zip(sub, pivots):
+                head = img[pc]
+                if head:
+                    img = [(x - head * y) % p for x, y in zip(img, row)]
+            columns.append([img[j] for j in free])
+        out.append([list(r) for r in zip(*columns)])
+    return out
+
+
+def factor_dims(spec):
+    """Sorted composition factor dimensions: split off least submodules one by one."""
+    dims = []
+    while True:
+        sub = minimal_invariant_subspace(spec)
+        if sub is None:
+            return sorted(dims + [spec.dim])
+        dims.append(len(sub))
+        gens = quotient_generators(spec, sub)
+        spec = ModuleSpec(spec.field, len(gens[0]), tuple(matrix_from_rows(spec.field, g) for g in gens))

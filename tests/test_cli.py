@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from commrep.modsplit import DIM_CAP
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -189,16 +191,18 @@ def test_split_s3_module(workdir):
 
 
 def test_split_guard_exits_two(workdir):
-    eye7 = {
-        "field": "Fp:2",
-        "rows": 7,
-        "cols": 7,
-        "entries": [str(int(i == j)) for i in range(7) for j in range(7)],
-    }
-    module = _write(workdir, "m.json", {"field": "Fp:2", "dim": 7, "generators": [eye7]})
-    res = run_cli("split", "--module", module)
-    assert res.returncode == 2
-    assert payload(res)["error"]["code"] == "guard_violation"
+    # a dimension above the cap, and the companion matrix of x^20 + x^3 + 1 over F_2,
+    # whose field of 2^20 elements has more points than the split budget allows
+    def module(dim, rows):
+        entries = [str(x) for row in rows for x in row]
+        return {"field": "Fp:2", "dim": dim, "generators": [{"field": "Fp:2", "rows": dim, "cols": dim, "entries": entries}]}
+
+    eye = [[int(i == j) for j in range(DIM_CAP + 1)] for i in range(DIM_CAP + 1)]
+    companion = [[int(i == j + 1) if j < 19 else int(i in (0, 3)) for j in range(20)] for i in range(20)]
+    for dim, rows in ((DIM_CAP + 1, eye), (20, companion)):
+        res = run_cli("split", "--module", _write(workdir, "m.json", module(dim, rows)))
+        assert res.returncode == 2
+        assert payload(res)["error"]["code"] == "guard_violation"
 
 
 def test_count_check(workdir):
@@ -254,11 +258,13 @@ _CERT = {"field": "Q", "n": 1, "r": 2, "v": [["0", "1"], ["1", "1"]], "alpha": [
          [dict(_CERT, field=None), {"matrices": [_ONE, _ONE]}], 1, "schema"),
         (["search", "--graph", "{a}", "--field", "Fp:2", "--rmax", "1"],
          [{"vertices": 10**9, "edges": []}], 2, "guard_violation"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": [dict(_ONE, entries=[[" 1_000 ", "+2"]])]}, {"vertices": 1, "edges": []}], 1, "schema"),
     ],
     ids=["cert-n-zero", "cert-image-rank-true", "matrix-rows-true", "graph-vertices-true", "dims-entry-true",
          "lambda-zero-denominator-q", "lambda-zero-denominator-fp", "nesting-too-deep", "not-utf8",
          "number-too-long", "matrix-field-not-string", "module-field-not-string", "cert-field-not-string",
-         "search-vertices-above-cap"],
+         "search-vertices-above-cap", "scalar-not-decimal"],
 )
 def test_json_booleans_and_empty_certificate_are_typed_errors(workdir, command, files, exit_code, code):
     paths = {name: _write(workdir, f"{name}.json", doc) for name, doc in zip("ab", files)}
@@ -276,6 +282,7 @@ def test_selftest_passes():
     doc = payload(res)
     assert doc["selftest"] == "pass"
     assert all(c["ok"] for c in doc["checks"])
+    assert "split_sl2_f5_squared" in {c["name"] for c in doc["checks"]}
 
 
 def test_emitted_json_is_canonical(workdir):

@@ -25,9 +25,11 @@ from commrep.exactla import (
     matrix_from_rows,
     matrix_to_json,
     rank,
+    scalar_from_json,
     span_rank,
     zeros,
 )
+from commrep.errors import SchemaError
 
 from conftest import big_fractions, matrix_pair, square_matrix
 
@@ -295,11 +297,43 @@ def test_matrix_json_frozen_shape():
 
 
 def test_matrix_json_bad_documents():
-    from commrep.errors import SchemaError
-
     with pytest.raises(SchemaError):
         matrix_from_json({"field": "Q", "rows": 1, "cols": 2, "entries": [["1", "1"]]})
     with pytest.raises(SchemaError):
         matrix_from_json({"field": "Fp:4", "rows": 1, "cols": 1, "entries": ["0"]})
     with pytest.raises(SchemaError):
         matrix_from_json({"field": "Fp:5", "rows": 1, "cols": 1, "entries": ["7"]})
+
+
+def test_scalar_json_accepts_only_decimal_strings():
+    assert scalar_from_json(["-3", "4"], QQ) == F("-3/4")
+    assert scalar_from_json("06", GF(7)) == 6
+    bad = [
+        ([" 1_000 ", "2"], QQ),
+        (["+1", "2"], QQ),
+        (["1", "\u0663"], QQ),  # Arabic-Indic three
+        ("+2", GF(7)),
+        ("\u0663", GF(7)),
+        (" 3", GF(7)),
+        ("3\n", GF(7)),
+        ("1_0", GF(11)),
+        ("0x3", GF(7)),
+        ("\u00b2", GF(7)),  # superscript two
+        ("", GF(7)),
+        ("-", GF(7)),
+    ]
+    for obj, field in bad:
+        with pytest.raises(SchemaError) as err:
+            scalar_from_json(obj, field, "m.entries[0]")
+        assert err.value.path == "m.entries[0]"
+
+
+def test_matrix_json_reads_malformed_zeros_in_full():
+    # only the canonical zero text skips coercion; other zero-like texts end schema at their path
+    for field, entries in (("Fp:7", ["0", "00x"]), ("Fp:7", ["0", " 0"]), ("Q", [["0", "1"], ["0", "0"]]),
+                           ("Q", [["0", "1"], ["0", "1", "1"]]), ("Q", [["0", "1"], "0"])):
+        with pytest.raises(SchemaError) as err:
+            matrix_from_json({"field": field, "rows": 1, "cols": 2, "entries": entries})
+        assert err.value.path == "matrix.entries[1]"
+    assert matrix_from_json({"field": "Q", "rows": 1, "cols": 2, "entries": [["0", "1"], ["0", "5"]]}).is_zero()
+    assert matrix_from_json({"field": "Fp:7", "rows": 1, "cols": 2, "entries": ["0", "00"]}).is_zero()

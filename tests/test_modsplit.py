@@ -1,6 +1,8 @@
 """Module splitting: spins, composition series, the counting chain."""
 
 import random
+import time
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +11,16 @@ from hypothesis import strategies as st
 from commrep.errors import GuardError
 from commrep.exactla import GF, identity, inverse, is_invertible, matrix_from_rows
 from commrep.modsplit import (
+    DIM_CAP,
     VERDICT_PRECONDITION_FAILED,
     VERDICT_SATISFIED,
     ModuleSpec,
     composition_factor_dims,
     counting_chain_check,
     is_triangularizable,
-    minimal_invariant_subspace,
     spin,
 )
+from commrep.witness import product_block_embedding
 
 F2 = GF(2)
 
@@ -73,25 +76,41 @@ def test_spin_output_is_invariant_under_generators():
     assert span  # sanity
 
 
+def _companion_f2(exponents, degree):
+    """Companion matrix over F_2 of x^degree + sum of x^e for e in ``exponents``."""
+    return matrix_from_rows(
+        F2,
+        [[int(i == j + 1) if j < degree - 1 else int(i in exponents) for j in range(degree)] for i in range(degree)],
+    )
+
+
 def test_minimal_invariant_subspace_examples():
-    assert minimal_invariant_subspace(_s3_module()) == ((1, 1, 1),)
-    assert minimal_invariant_subspace(_order3_module()) is None
+    # the only invariant line of the S3 permutation module is spanned by (1, 1, 1)
+    report = composition_factor_dims(_s3_module())
+    assert sorted(report.factor_dims) == [1, 2]
+    if report.factor_dims[0] == 1:
+        assert report.flag_basis.transpose().row_values(1) == (1, 1, 1)
+    assert composition_factor_dims(_order3_module()).factor_dims == (2,)
     ident = ModuleSpec(F2, 2, (identity(2, F2),))
-    assert minimal_invariant_subspace(ident) == ((0, 1),)  # lex-least dim-1 basis
+    assert composition_factor_dims(ident).factor_dims == (1, 1)
 
 
 def test_guard_refuses_large_enumeration():
-    big = ModuleSpec(F2, 7, (identity(7, F2),))
-    with pytest.raises(GuardError):
-        minimal_invariant_subspace(big)
-    with pytest.raises(GuardError):
-        composition_factor_dims(ModuleSpec(GF(3), 5, (identity(5, GF(3)),)))
+    over_cap = ModuleSpec(F2, DIM_CAP + 1, (identity(DIM_CAP + 1, F2),))
+    # x^20 + x^3 + 1 is irreducible over F_2, so its companion matrix spans a field:
+    # no theta before theta = 0 has a kernel, and V has 2^20 - 1 points to spin
+    field_module = ModuleSpec(F2, 20, (_companion_f2({0, 3}, 20),))
+    for spec in (over_cap, field_module):
+        start = time.perf_counter()
+        with pytest.raises(GuardError):
+            composition_factor_dims(spec)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_composition_factors_s3():
     report = composition_factor_dims(_s3_module())
     assert sorted(report.factor_dims) == [1, 2]
-    assert report.series == (0, 1, 3)
+    assert report.series == (0, *accumulate(report.factor_dims))
     assert report.base_field_only is True
     assert is_invertible(report.flag_basis)
 
@@ -133,7 +152,6 @@ def test_full_gl2_f2_not_triangularizable():
     swap = matrix_from_rows(F2, [[0, 1], [1, 0]])
     shear = matrix_from_rows(F2, [[1, 1], [0, 1]])
     spec = ModuleSpec(F2, 2, (swap, shear))
-    assert minimal_invariant_subspace(spec) is None
     assert composition_factor_dims(spec).factor_dims == (2,)
     assert is_triangularizable(spec) is False
 
@@ -152,6 +170,40 @@ def test_factor_dims_invariant_under_basis_change():
         cand_inv = inverse(cand)
         conj = ModuleSpec(F2, 3, tuple(cand_inv @ g @ cand for g in spec.generators))
         assert sorted(composition_factor_dims(conj).factor_dims) == base
+
+
+def test_field_blocks_are_irreducible():
+    # F_4 and F_9 blocks: irreducible, but every theta with a kernel has a 2-dim one
+    f3 = GF(3)
+    f4 = ModuleSpec(F2, 2, (_companion_f2({0, 1}, 2),))
+    f9 = ModuleSpec(f3, 2, (matrix_from_rows(f3, [[0, 2], [1, 0]]),))  # x^2 + 1
+    assert composition_factor_dims(f4).factor_dims == (2,)
+    assert composition_factor_dims(f9).factor_dims == (2,)
+    assert composition_factor_dims(ModuleSpec(F2, 6, (_companion_f2({0, 1}, 6),))).factor_dims == (6,)
+
+
+def test_direct_sum_splits_in_every_basis():
+    # trivial + natural module of GL_2(F_2): theta = g - I kills a line in each summand,
+    # and in some bases the first kernel vector, and the first of ker theta^T, lie in neither
+    g = matrix_from_rows(F2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    h = matrix_from_rows(F2, [[1, 0, 0], [0, 0, 1], [0, 1, 1]])
+    for entries in range(2**9):
+        change = matrix_from_rows(F2, [[entries >> (3 * i + j) & 1 for j in range(3)] for i in range(3)])
+        if is_invertible(change):
+            spec = ModuleSpec(F2, 3, (inverse(change) @ g @ change, inverse(change) @ h @ change))
+            assert sorted(composition_factor_dims(spec).factor_dims) == [1, 2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sl2_f5_power_splits_into_planes(n):
+    # the block embedding of SL_2(F_5)^n, beyond the old p^dim <= 100 enumeration
+    f5 = GF(5)
+    sl2 = [matrix_from_rows(f5, [[1, 1], [0, 1]]), matrix_from_rows(f5, [[0, 4], [1, 0]])]
+    spec = ModuleSpec(f5, 2 * n, tuple(product_block_embedding([sl2] * n)))
+    start = time.perf_counter()
+    report = composition_factor_dims(spec)
+    assert time.perf_counter() - start < 1.0
+    assert report.factor_dims == (2,) * n
 
 
 # -- counting chain ---------------------------------------------------------------
