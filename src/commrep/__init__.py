@@ -9,114 +9,86 @@ search over small prime fields, and splits matrix modules into
 composition factors.
 """
 
-from .commgraph import (
-    Assignment,
-    CommGraph,
-    PairStatus,
-    RealizationCheck,
-    matching_graph,
-    realizes,
-)
-from .certificate import (
-    LowerBoundCertificate,
-    VerificationResult,
-    build_certificate,
-    find_avoiding_vector,
-    pairs_from_assignment,
-    verify_certificate,
-)
-from .errors import (
-    CommrepError,
-    FieldTooSmallError,
-    GuardError,
-    InvalidHintError,
-    PatternViolationError,
-    SchemaError,
-)
-from .exactla import (
-    GF,
-    QQ,
-    FieldSpec,
-    Matrix,
-    block_diagonal,
-    commutator,
-    elementary_matrix,
-    identity,
-    inverse,
-    is_invertible,
-    kernel_basis,
-    matrix_from_rows,
-    rank,
-    span_rank,
-    zeros,
-)
-from .modsplit import (
-    CompositionReport,
-    CountCheck,
-    ModuleSpec,
-    composition_factor_dims,
-    counting_chain_check,
-    is_triangularizable,
-    spin,
-)
-from .search import (
-    ExistsOutcome,
-    SearchReport,
-    exists_realization,
-    matching_lower_bound,
-    min_realization_dim,
-)
-from .witness import product_block_embedding, sharp_witness, witness_invertibility
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "CommGraph",
-    "CommrepError",
-    "CompositionReport",
-    "CountCheck",
-    "ExistsOutcome",
-    "FieldSpec",
-    "FieldTooSmallError",
-    "GF",
-    "GuardError",
-    "InvalidHintError",
-    "LowerBoundCertificate",
-    "Matrix",
-    "ModuleSpec",
-    "PairStatus",
-    "PatternViolationError",
-    "QQ",
-    "RealizationCheck",
-    "SchemaError",
-    "SearchReport",
-    "VerificationResult",
-    "block_diagonal",
-    "build_certificate",
-    "commutator",
-    "composition_factor_dims",
-    "counting_chain_check",
-    "elementary_matrix",
-    "exists_realization",
-    "find_avoiding_vector",
-    "identity",
-    "inverse",
-    "is_invertible",
-    "is_triangularizable",
-    "kernel_basis",
-    "matching_graph",
-    "matching_lower_bound",
-    "matrix_from_rows",
-    "min_realization_dim",
-    "pairs_from_assignment",
-    "product_block_embedding",
-    "rank",
-    "realizes",
-    "sharp_witness",
-    "span_rank",
-    "spin",
-    "verify_certificate",
-    "witness_invertibility",
-    "zeros",
-]
+# every public name and the module that defines it; ``__getattr__`` imports
+# that module on first access, so a CLI call loads only what it runs
+_EXPORTS = {
+    "certificate": (
+        "LowerBoundCertificate",
+        "VerificationResult",
+        "build_certificate",
+        "find_avoiding_vector",
+        "pairs_from_assignment",
+        "verify_certificate",
+    ),
+    "commgraph": (
+        "Assignment",
+        "CommGraph",
+        "PairStatus",
+        "RealizationCheck",
+        "matching_graph",
+        "realizes",
+    ),
+    "errors": (
+        "CommrepError",
+        "FieldTooSmallError",
+        "GuardError",
+        "InvalidHintError",
+        "PatternViolationError",
+        "SchemaError",
+    ),
+    "exactla": (
+        "GF",
+        "QQ",
+        "FieldSpec",
+        "Matrix",
+        "block_diagonal",
+        "commutator",
+        "elementary_matrix",
+        "identity",
+        "inverse",
+        "is_invertible",
+        "kernel_basis",
+        "matrix_from_rows",
+        "rank",
+        "span_rank",
+        "zeros",
+    ),
+    "modsplit": (
+        "CompositionReport",
+        "CountCheck",
+        "ModuleSpec",
+        "composition_factor_dims",
+        "counting_chain_check",
+        "is_triangularizable",
+        "spin",
+    ),
+    "search": (
+        "ExistsOutcome",
+        "SearchReport",
+        "exists_realization",
+        "matching_lower_bound",
+        "min_realization_dim",
+    ),
+    "witness": ("product_block_embedding", "sharp_witness", "witness_invertibility"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import the module that defines ``name`` and keep the object here."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,36 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from pathlib import Path
 
-from .certificate import (
-    build_certificate,
-    certificate_from_json,
-    certificate_to_json,
-    pairs_from_assignment,
-    verify_certificate,
-)
-from .commgraph import (
-    assignment_from_json,
-    assignment_to_json,
-    graph_from_json,
-    matching_graph,
-    realizes,
-)
 from .errors import CommrepError, SchemaError
-from .exactla import GF, QQ, FieldSpec, matrix_from_rows, scalar_to_json
-from .modsplit import (
-    ModuleSpec,
-    counting_chain_check,
-    count_check_to_json,
-    dims_from_json,
-    module_from_json,
-    composition_factor_dims,
-    report_to_json as split_report_to_json,
-)
-from .search import STATUS_EXHAUSTED, min_realization_dim, report_to_json
-from .witness import product_block_embedding, sharp_witness
+
+# Each handler imports what it runs, so a call loads only the modules its
+# subcommand needs (see the package ``__init__``).
 
 
 class UsageError(CommrepError):
@@ -59,6 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _field_arg(text: str) -> FieldSpec:
+    from .exactla import FieldSpec
+
     try:
         return FieldSpec.from_name(text)
     except ValueError as e:
@@ -82,6 +60,10 @@ def _emit(payload) -> None:
 
 
 def cmd_witness(ns):
+    from .commgraph import assignment_to_json
+    from .exactla import scalar_to_json
+    from .witness import sharp_witness
+
     try:
         lam = ns.field.scalar(ns.lam)
     except ValueError as e:
@@ -103,6 +85,8 @@ def cmd_witness(ns):
 
 
 def cmd_verify_graph(ns):
+    from .commgraph import assignment_from_json, graph_from_json, realizes
+
     assignment = assignment_from_json(_load_json(ns.input), ns.input)
     graph = graph_from_json(_load_json(ns.graph), ns.graph)
     if len(assignment) != graph.vertex_count:
@@ -121,6 +105,9 @@ def cmd_verify_graph(ns):
 
 
 def cmd_certify(ns):
+    from .certificate import build_certificate, certificate_to_json, pairs_from_assignment
+    from .commgraph import assignment_from_json
+
     assignment = assignment_from_json(_load_json(ns.input), ns.input)
     try:
         pairs = pairs_from_assignment(assignment)
@@ -131,6 +118,9 @@ def cmd_certify(ns):
 
 
 def cmd_verify_cert(ns):
+    from .certificate import certificate_from_json, pairs_from_assignment, verify_certificate
+    from .commgraph import assignment_from_json
+
     cert = certificate_from_json(_load_json(ns.cert), ns.cert)
     assignment = assignment_from_json(_load_json(ns.input), ns.input)
     try:
@@ -142,6 +132,9 @@ def cmd_verify_cert(ns):
 
 
 def cmd_search(ns):
+    from .commgraph import assignment_from_json, graph_from_json
+    from .search import STATUS_EXHAUSTED, min_realization_dim, report_to_json
+
     graph = graph_from_json(_load_json(ns.graph), ns.graph)
     hint = None
     if ns.hint:
@@ -163,21 +156,35 @@ def cmd_search(ns):
 
 
 def cmd_split(ns):
+    from .modsplit import composition_factor_dims, module_from_json, report_to_json
+
     spec = module_from_json(_load_json(ns.module), ns.module)
     report = composition_factor_dims(spec)
-    return split_report_to_json(report), 0
+    return report_to_json(report), 0
 
 
 def cmd_count_check(ns):
+    from .modsplit import count_check_to_json, counting_chain_check, dims_from_json
+
+    # dims_from_json returns only tables that counting_chain_check accepts
     table = dims_from_json(_load_json(ns.dims), ns.dims)
-    try:
-        check = counting_chain_check(table)
-    except ValueError as e:
-        raise InvalidArgumentError(str(e)) from None
-    return count_check_to_json(check), 0
+    return count_check_to_json(counting_chain_check(table)), 0
 
 
 def cmd_selftest(ns):
+    from .certificate import (
+        build_certificate,
+        certificate_from_json,
+        certificate_to_json,
+        pairs_from_assignment,
+        verify_certificate,
+    )
+    from .commgraph import assignment_from_json, assignment_to_json, matching_graph, realizes
+    from .exactla import GF, QQ, matrix_from_rows
+    from .modsplit import ModuleSpec, composition_factor_dims
+    from .search import min_realization_dim
+    from .witness import product_block_embedding, sharp_witness
+
     checks = []
 
     def record(name, fn):
@@ -294,6 +301,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
     except Exception as e:  # noqa: BLE001 - keep the one-JSON-document contract
+        import traceback
+
         _emit({"error": {"code": "internal", "message": f"{type(e).__name__}: {e}"}})
         traceback.print_exc()
         return 1

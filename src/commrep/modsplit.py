@@ -50,7 +50,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import GuardError, SchemaError, json_int, json_list, json_object
 from .exactla import (
@@ -100,6 +100,19 @@ class ModuleSpec:
                 raise ValueError("generators must be invertible")
 
 
+class _Piece(NamedTuple):
+    """A module met while splitting, with the fields ``spin`` reads from a ``ModuleSpec``.
+
+    Its generators are diagonal blocks of conjugated invertible generators,
+    or their transposes, so they are invertible by construction and are not
+    checked again.
+    """
+
+    field: FieldSpec
+    dim: int
+    generators: tuple
+
+
 @dataclass(frozen=True)
 class CompositionReport:
     factor_dims: tuple  # block sizes in series order; multiset is basis-independent
@@ -109,7 +122,10 @@ class CompositionReport:
 
 
 def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
-    """Canonical RREF basis of the smallest invariant subspace containing ``vector``."""
+    """Canonical RREF basis of the smallest invariant subspace containing ``vector``.
+
+    ``spec`` is a ``ModuleSpec``, or a ``_Piece`` met while splitting one.
+    """
     p = spec.field.characteristic
     vec = [x % p for x in vector]
     if len(vec) != spec.dim:
@@ -197,7 +213,7 @@ def _submodule(spec: ModuleSpec, budget: _Budget) -> Optional[Sequence]:
             return sub
     # so a proper submodule misses ker theta, lies in im theta, and is annihilated by
     # ker theta^T and by everything a vector of it spins to under the transposes
-    dual = ModuleSpec(spec.field, spec.dim, tuple(g.transpose() for g in spec.generators))
+    dual = _Piece(spec.field, spec.dim, tuple(g.transpose() for g in spec.generators))
     budget.charge()
     annihilated = spin(kernel_basis(theta.transpose())[0], dual)
     if len(annihilated) == spec.dim:
@@ -236,8 +252,8 @@ def _factor_chain(spec: ModuleSpec):
             assert all(
                 j >= w for row in c.nonzero_rows[w:] for j, _ in row
             ), "submodule basis failed to block-triangularize"
-        submodule = ModuleSpec(field, w, tuple(_diagonal_block(c, 0, w) for c in conjugated))
-        quotient = ModuleSpec(field, k - w, tuple(_diagonal_block(c, w, k) for c in conjugated))
+        submodule = _Piece(field, w, tuple(_diagonal_block(c, 0, w) for c in conjugated))
+        quotient = _Piece(field, k - w, tuple(_diagonal_block(c, w, k) for c in conjugated))
         moved = (change_t @ vectors).nonzero_rows
         stack.append((quotient, Matrix._sparse(field, k - w, d, moved[w:])))
         stack.append((submodule, Matrix._sparse(field, w, d, moved[:w])))
@@ -360,6 +376,10 @@ def count_check_to_json(check: CountCheck) -> dict:
 def dims_from_json(doc, path: str = "dims") -> list:
     json_object(doc, ("dims",), "dims table", path)
     table = json_list(doc["dims"], f"{path}.dims", minimum=1)
+    width = None  # every row as long as the first
     for k, row in enumerate(table):
-        json_list(row, f"{path}.dims[{k}]", minimum=1)
+        json_list(row, f"{path}.dims[{k}]", length=width, minimum=1)
+        width = len(row)
+        for i, x in enumerate(row):
+            json_int(x, 1, f"{path}.dims[{k}][{i}]")
     return table

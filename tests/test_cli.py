@@ -222,7 +222,9 @@ def test_count_check(workdir):
     assert payload(res2)["verdict"] == "precondition_failed"
     assert payload(res2)["failed_columns"] == [1]
     nonpos = _write(workdir, "d3.json", {"dims": [[0, 2]]})
-    assert run_cli("count-check", "--dims", nonpos).returncode == 2
+    res3 = run_cli("count-check", "--dims", nonpos)
+    assert res3.returncode == 1
+    assert payload(res3)["error"]["message"].startswith(f"{nonpos}.dims[0][0]: ")
 
 
 _ONE = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1", "1"]]}
@@ -241,7 +243,9 @@ _CERT = {"field": "Q", "n": 1, "r": 2, "v": [["0", "1"], ["1", "1"]], "alpha": [
          [{"matrices": [dict(_ONE, rows=True)]}, {"vertices": 1, "edges": []}], 1, "schema"),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
          [{"matrices": [_ONE, _ONE]}, {"vertices": True, "edges": []}], 1, "schema"),
-        (["count-check", "--dims", "{a}"], [{"dims": [[True, 2]]}], 2, "invalid_argument"),
+        (["count-check", "--dims", "{a}"], [{"dims": [[True, 2]]}], 1, "schema"),
+        (["count-check", "--dims", "{a}"], [{"dims": [[1, 2], [2]]}], 1, "schema"),
+        (["count-check", "--dims", "{a}"], [{"dims": [[1, "2"], [2, 1]]}], 1, "schema"),
         (["witness", "--n", "2", "--lambda", "1/0", "--field", "Q"], [], 2, "invalid_argument"),
         (["witness", "--n", "2", "--lambda", "1/0", "--field", "Fp:5"], [], 2, "invalid_argument"),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
@@ -262,6 +266,7 @@ _CERT = {"field": "Q", "n": 1, "r": 2, "v": [["0", "1"], ["1", "1"]], "alpha": [
          [{"matrices": [dict(_ONE, entries=[[" 1_000 ", "+2"]])]}, {"vertices": 1, "edges": []}], 1, "schema"),
     ],
     ids=["cert-n-zero", "cert-image-rank-true", "matrix-rows-true", "graph-vertices-true", "dims-entry-true",
+         "dims-rows-ragged", "dims-entry-string",
          "lambda-zero-denominator-q", "lambda-zero-denominator-fp", "nesting-too-deep", "not-utf8",
          "number-too-long", "matrix-field-not-string", "module-field-not-string", "cert-field-not-string",
          "search-vertices-above-cap", "scalar-not-decimal"],
@@ -290,3 +295,73 @@ def test_emitted_json_is_canonical(workdir):
     res = run_cli("witness", "--n", "3", "--lambda", "1/2", "--field", "Q")
     doc = json.loads(res.stdout)
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == res.stdout
+
+
+def _commrep_modules_after(*statements):
+    """The ``commrep`` modules loaded after running ``statements`` in a fresh interpreter."""
+    code = "\n".join([
+        *statements,
+        "import json, sys",
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'commrep')))",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def test_importing_the_package_or_the_cli_loads_no_library_module():
+    assert _commrep_modules_after("import commrep") == {"commrep"}
+    assert _commrep_modules_after("import commrep.cli") == {"commrep", "commrep.cli", "commrep.errors"}
+
+
+def test_witness_call_loads_no_certificate_search_or_modsplit():
+    loaded = _commrep_modules_after(
+        "from commrep.cli import main",
+        "assert main(['witness', '--n', '2', '--lambda', '2', '--field', 'Q']) == 0",
+    )
+    assert "commrep.witness" in loaded
+    assert not loaded & {"commrep.certificate", "commrep.search", "commrep.modsplit"}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["count-check", "--dims"], {"dims": [[1, 2], [2, 1]]}),
+        (["split", "--module"], {"field": "Fp:2", "dim": 1, "generators": [
+            {"field": "Fp:2", "rows": 1, "cols": 1, "entries": ["1"]}]}),
+    ],
+    ids=["count-check", "split"],
+)
+def test_modsplit_calls_load_no_graph_code(workdir, command, doc):
+    argv = [*command, _write(workdir, "doc.json", doc)]
+    loaded = _commrep_modules_after("from commrep.cli import main", f"assert main({argv!r}) == 0")
+    assert "commrep.modsplit" in loaded
+    assert not loaded & {"commrep.commgraph", "commrep.certificate", "commrep.search", "commrep.witness"}
+
+
+def test_every_public_name_resolves_lazily_to_its_module():
+    _commrep_modules_after(
+        "import importlib, commrep",
+        "listed = dir(commrep)",
+        "for name in commrep.__all__:",
+        "    assert name in listed, name",
+        "    owner = importlib.import_module('commrep.' + commrep._MODULE_OF[name])",
+        "    assert getattr(commrep, name) is getattr(owner, name), name",
+        "star = {}",
+        "exec('from commrep import *', star)",
+        "assert all(star[name] is getattr(commrep, name) for name in commrep.__all__)",
+    )
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    _commrep_modules_after(
+        "import commrep",
+        "try:",
+        "    commrep.no_such_name",
+        "except AttributeError as e:",
+        "    assert 'no_such_name' in str(e)",
+        "else:",
+        "    raise SystemExit('commrep.no_such_name resolved')",
+    )
