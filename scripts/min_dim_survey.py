@@ -30,6 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from commrep import (  # noqa: E402
+    GF,
     Assignment,
     CommGraph,
     FieldSpec,
@@ -140,7 +141,7 @@ def finite_field(name: str) -> FieldSpec:
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-vertices", type=int, default=4)
-    ap.add_argument("--field", type=finite_field, default=FieldSpec.prime_field(2))
+    ap.add_argument("--field", type=finite_field, default=GF(2))
     ap.add_argument("--budget", type=int, default=5 * 10**7)
     args = ap.parse_args()
     if not 1 <= args.max_vertices <= 6:

@@ -73,7 +73,7 @@ _EXPORTS = {
         "matching_lower_bound",
         "min_realization_dim",
     ),
-    "witness": ("product_block_embedding", "sharp_witness", "witness_invertibility"),
+    "witness": ("product_block_embedding", "sharp_witness"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -141,8 +141,9 @@ def cmd_search(ns):
         hint = assignment_from_json(_load_json(ns.hint), ns.hint)
     if ns.field.is_rationals:
         raise InvalidArgumentError("search needs a finite field, e.g. --field Fp:2")
-    if ns.rmax < 1 or ns.budget < 0 or ns.jobs < 1:
-        raise InvalidArgumentError("--rmax, --budget and --jobs must be positive")
+    for option, value, least in (("--rmax", ns.rmax, 1), ("--budget", ns.budget, 0), ("--jobs", ns.jobs, 1)):
+        if value < least:
+            raise InvalidArgumentError(f"{option} must be at least {least}")
     report = min_realization_dim(
         graph,
         ns.field,

@@ -53,7 +53,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond 64-bit inputs we accept."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -75,37 +75,22 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """An exact base field: the rationals, or integers modulo a prime."""
+    """An exact base field: the rationals (characteristic None), or integers modulo a prime."""
 
-    kind: str  # "Q" | "Fp"
-    characteristic: Optional[int] = None
+    characteristic: Optional[int]
 
     def __post_init__(self):
-        if self.kind == "Q":
-            if self.characteristic is not None:
-                raise ValueError("rationals carry no characteristic")
-        elif self.kind == "Fp":
-            p = self.characteristic
-            if not isinstance(p, int) or p < 2 or not is_prime(p):
-                raise ValueError(f"characteristic must be a prime >= 2, got {p!r}")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-
-    @staticmethod
-    def rationals() -> "FieldSpec":
-        return FieldSpec("Q")
-
-    @staticmethod
-    def prime_field(p: int) -> "FieldSpec":
-        return FieldSpec("Fp", p)
+        p = self.characteristic
+        if p is not None and not (isinstance(p, int) and is_prime(p)):
+            raise ValueError(f"characteristic must be a prime >= 2, got {p!r}")
 
     @property
     def is_rationals(self) -> bool:
-        return self.kind == "Q"
+        return self.characteristic is None
 
     @property
     def is_prime_field(self) -> bool:
-        return self.kind == "Fp"
+        return self.characteristic is not None
 
     def name(self) -> str:
         return "Q" if self.is_rationals else f"Fp:{self.characteristic}"
@@ -113,12 +98,12 @@ class FieldSpec:
     @staticmethod
     def from_name(name: str) -> "FieldSpec":
         if name == "Q":
-            return FieldSpec.rationals()
+            return QQ
         if isinstance(name, str) and name.startswith("Fp:"):
             body = name[3:]
             if not body.isdigit():
                 raise ValueError(f"bad field name {name!r}")
-            return FieldSpec.prime_field(int(body))
+            return GF(int(body))
         raise ValueError(f"bad field name {name!r} (expected 'Q' or 'Fp:<prime>')")
 
     # -- scalar arithmetic ------------------------------------------------
@@ -153,19 +138,12 @@ class FieldSpec:
     def mul(self, a, b):
         return a * b if self.is_rationals else (a * b) % self.characteristic
 
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        if self.is_rationals:
-            return 1 / Fraction(a)
-        return pow(a, -1, self.characteristic)
 
-
-QQ = FieldSpec.rationals()
+QQ = FieldSpec(None)
 
 
 def GF(p: int) -> FieldSpec:
-    return FieldSpec.prime_field(p)
+    return FieldSpec(p)
 
 
 def dot(u: Sequence[ScalarValue], v: Sequence[ScalarValue], field: FieldSpec) -> ScalarValue:
@@ -215,8 +193,8 @@ class Matrix:
     pairs in increasing column order, with 0-based columns.  That form is
     canonical, so equality and hashing compare matrices by value, and
     arithmetic on structured matrices costs O(nonzeros) Python work rather
-    than O(rows * cols).  The dense views ``entries``, ``entry``,
-    ``row_values``, ``rows_list`` and ``flatten`` are rebuilt on every call.
+    than O(rows * cols).  The dense views ``entries``, ``row_values`` and
+    ``rows_list`` are rebuilt on every call.
     """
 
     field: FieldSpec
@@ -256,12 +234,6 @@ class Matrix:
                 out[base + j] = x
         return tuple(out)
 
-    def entry(self, i: int, j: int) -> ScalarValue:
-        """1-based (i, j) entry."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return dict(self.nonzero_rows[i - 1]).get(j - 1, self.field.zero())
-
     def row_values(self, i: int) -> tuple:
         """1-based row as a tuple."""
         if not 1 <= i <= self.rows:
@@ -273,9 +245,6 @@ class Matrix:
 
     def rows_list(self) -> list:
         return [list(self.row_values(i)) for i in range(1, self.rows + 1)]
-
-    def flatten(self) -> tuple:
-        return self.entries
 
     def is_zero(self) -> bool:
         return not any(self.nonzero_rows)

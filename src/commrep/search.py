@@ -32,10 +32,8 @@ from .exactla import (
     FieldSpec,
     Matrix,
     _reduced_form,
-    block_diagonal,
     kernel_basis,
     matrix_from_rows,
-    zeros,
 )
 
 FOUND = "found"
@@ -317,14 +315,6 @@ def min_realization_dim(
         analytic_lower=analytic,
         nodes_explored=nodes_total,
     )
-
-
-def pad_assignment(assignment: Assignment, extra: int) -> Assignment:
-    """Pad every matrix with an extra zero block; preserves the realization."""
-    if extra < 1:
-        return assignment
-    pad = zeros(extra, extra, assignment.field)
-    return Assignment(tuple(block_diagonal([m, pad]) for m in assignment.matrices))
 
 
 # -- JSON -----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .exactla import (
     block_diagonal,
     elementary_matrix,
     identity,
-    is_invertible,
 )
 
 
@@ -38,12 +37,6 @@ def sharp_witness(n: int, lam, field: FieldSpec) -> Assignment:
     a = [eye + elementary_matrix(r, 1, i + 1, field) for i in range(1, n + 1)]
     b = [eye - elementary_matrix(r, i + 1, i + 1, field).scale(lam) for i in range(1, n + 1)]
     return Assignment(tuple(a + b))
-
-
-def witness_invertibility(n: int, lam, field: FieldSpec) -> bool:
-    """True iff every witness matrix is invertible; holds exactly when lambda != 1."""
-    assignment = sharp_witness(n, lam, field)
-    return all(is_invertible(m) for m in assignment.matrices)
 
 
 def product_block_embedding(factors: Sequence[Sequence[Matrix]]) -> list:

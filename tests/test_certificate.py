@@ -8,11 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commrep.certificate import (
+    ALL_REASONS,
+    REASON_ALPHA_LENGTH,
     REASON_ALPHA_V_ZERO,
+    REASON_ALPHA_ZV_ZERO,
+    REASON_BOUND_EXCEEDS_DIM,
     REASON_BOUND_MISMATCH,
+    REASON_FIELD_MISMATCH,
     REASON_GRAM_MISMATCH,
+    REASON_GRAM_NOT_ALTERNATING,
+    REASON_GRAM_RANK,
+    REASON_IMAGE_RANK_LOW,
     REASON_IMAGE_RANK_MISMATCH,
+    REASON_N_MISMATCH,
+    REASON_R_MISMATCH,
+    REASON_V_LENGTH,
     REASON_Z_MISMATCH,
+    REASON_Z_ZERO,
     REASON_ZV_ZERO,
     build_certificate,
     certificate_from_json,
@@ -31,6 +43,7 @@ from commrep.exactla import (
     matrix_from_rows,
     rank,
     span_rank,
+    zeros,
 )
 from commrep.witness import sharp_witness
 
@@ -80,7 +93,8 @@ def _vanishing_row(row, g, field):
     """``row`` with its last entry on the support of ``g`` solved so that row . g = 0."""
     t = max(k for k, x in enumerate(g) if x)
     rest = sum(x * y for k, (x, y) in enumerate(zip(row, g)) if k != t)
-    return row[:t] + [field.scalar(-rest) * field.inv(field.scalar(g[t]))] + row[t + 1 :]
+    inv = 1 / g[t] if field.is_rationals else pow(g[t], -1, field.characteristic)
+    return row[:t] + [field.scalar(-rest) * inv] + row[t + 1 :]
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,12 +176,12 @@ def test_gram_checkerboard_structure():
     field = cert.field
     for i in range(1, n + 1):
         d = dot(cert.alpha, cert.z[i - 1].apply(cert.v), field)
-        assert cert.gram.entry(i, n + i) == d != 0
-        assert cert.gram.entry(n + i, i) == -d
+        assert cert.gram.row_values(i)[n + i - 1] == d != 0
+        assert cert.gram.row_values(n + i)[i - 1] == -d
     for i in range(1, 2 * n + 1):
         for j in range(1, 2 * n + 1):
             if abs(i - j) != n:
-                assert cert.gram.entry(i, j) == 0
+                assert cert.gram.row_values(i)[j - 1] == 0
     assert rank(cert.gram) == 2 * n
 
 
@@ -181,7 +195,7 @@ def test_independence_cross_check():
         w = sharp_witness(n, 2, QQ)
         pairs = pairs_from_assignment(w)
         build_certificate(pairs)
-        flat = [identity(n + 1, QQ).flatten()] + [m.flatten() for m in w.matrices]
+        flat = [identity(n + 1, QQ).entries] + [m.entries for m in w.matrices]
         assert span_rank(flat, QQ) == 2 * n + 1
 
 
@@ -270,6 +284,43 @@ def test_verifier_rejects_wrong_image_rank_and_bound():
     assert not res.ok and REASON_IMAGE_RANK_MISMATCH in res.reasons
     res = verify_certificate(_with(cert, concluded_bound=cert.n + 2), pairs)
     assert not res.ok and REASON_BOUND_MISMATCH in res.reasons
+
+
+def _commuting_first_pair(cert, pairs):
+    eye = identity(cert.r, QQ)
+    return cert, [(eye, eye)] + list(pairs[1:])
+
+
+# one crafted certificate-and-pairs input per reason code, from the valid n = 2 certificate
+_REASON_CASES = {
+    REASON_N_MISMATCH: lambda c, p: (_with(c, n=c.n + 1), p),
+    REASON_R_MISMATCH: lambda c, p: (_with(c, r=c.r + 1), p),
+    REASON_FIELD_MISMATCH: lambda c, p: (_with(c, field=GF(5)), p),
+    REASON_V_LENGTH: lambda c, p: (_with(c, v=c.v + (F(0),)), p),
+    REASON_ALPHA_LENGTH: lambda c, p: (_with(c, alpha=c.alpha[:-1]), p),
+    REASON_Z_ZERO: _commuting_first_pair,
+    REASON_Z_MISMATCH: lambda c, p: (_with(c, z=(c.z[0] + identity(c.r, QQ),) + c.z[1:]), p),
+    REASON_ZV_ZERO: lambda c, p: (_with(c, v=(F(0),) * len(c.v)), p),
+    REASON_ALPHA_V_ZERO: lambda c, p: (_with(c, v=(F(0),) * len(c.v)), p),
+    REASON_ALPHA_ZV_ZERO: lambda c, p: (_with(c, alpha=(F(0),) * len(c.alpha)), p),
+    # the wrong-shape branch; a wrong entry is covered above
+    REASON_GRAM_MISMATCH: lambda c, p: (_with(c, gram=identity(2 * c.n + 1, QQ)), p),
+    REASON_GRAM_NOT_ALTERNATING: lambda c, p: (_with(c, gram=c.gram + identity(2 * c.n, QQ)), p),
+    REASON_GRAM_RANK: lambda c, p: (_with(c, gram=zeros(2 * c.n, 2 * c.n, QQ)), p),
+    REASON_IMAGE_RANK_MISMATCH: lambda c, p: (_with(c, image_rank=c.image_rank + 1), p),
+    REASON_IMAGE_RANK_LOW: lambda c, p: (_with(c, v=(F(0),) * len(c.v)), p),
+    REASON_BOUND_MISMATCH: lambda c, p: (_with(c, concluded_bound=c.n + 2), p),
+    REASON_BOUND_EXCEEDS_DIM: lambda c, p: (_with(c, concluded_bound=c.r + 1), p),
+}
+
+
+@pytest.mark.parametrize("reason", ALL_REASONS)
+def test_every_reason_code_can_be_produced(reason):
+    # parametrized over ALL_REASONS, so a code without a crafted input fails here
+    res = verify_certificate(*_REASON_CASES[reason](*_valid()))
+    assert not res.ok
+    assert reason in res.reasons
+    assert set(res.reasons) <= set(ALL_REASONS)
 
 
 def test_verifier_accepts_json_round_trip():

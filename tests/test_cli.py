@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,11 @@ def test_search_budget_exhaustion_exit_code(workdir):
     )
     assert res.returncode == 3
     assert payload(res)["status"] == "exhausted_budget"
+    # a zero budget is accepted, and exhausted on P4
+    p4 = _write(workdir, "p4.json", {"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4]]})
+    res = run_cli("search", "--graph", p4, "--field", "Fp:2", "--rmax", "3", "--budget", "0")
+    assert res.returncode == 3
+    assert payload(res)["status"] == "exhausted_budget"
 
 
 def test_search_invalid_hint_exits_two(workdir):
@@ -160,6 +166,19 @@ def test_search_invalid_hint_exits_two(workdir):
     res = run_cli("search", "--graph", graph, "--field", "Fp:2", "--rmax", "2", "--hint", hint)
     assert res.returncode == 2
     assert payload(res)["error"]["code"] == "invalid_hint"
+
+
+@pytest.mark.parametrize(
+    "option, value, least", [("--rmax", "0", 1), ("--jobs", "0", 1), ("--budget", "-1", 0)]
+)
+def test_search_refusal_names_the_failing_option(workdir, option, value, least):
+    graph = _write(workdir, "p4.json", {"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4]]})
+    args = {"--rmax": "3", "--jobs": "1", "--budget": "1000", option: value}
+    res = run_cli("search", "--graph", graph, "--field", "Fp:2", *[x for kv in args.items() for x in kv])
+    assert res.returncode == 2
+    error = payload(res)["error"]
+    assert error["code"] == "invalid_argument"
+    assert error["message"] == f"{option} must be at least {least}"
 
 
 def test_split_s3_module(workdir):
@@ -288,6 +307,28 @@ def test_selftest_passes():
     assert doc["selftest"] == "pass"
     assert all(c["ok"] for c in doc["checks"])
     assert "split_sl2_f5_squared" in {c["name"] for c in doc["checks"]}
+
+
+def _readme_cli_lines():
+    """The commands of the README's CLI block, continuation lines joined, comments dropped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    return [line for line in lines if not line.startswith("#")]
+
+
+def test_readme_cli_block_runs(workdir):
+    lines = _readme_cli_lines()
+    assert {line.split()[1] for line in lines if line.startswith("commrep ")} == {
+        "witness", "verify-graph", "certify", "verify-cert", "search", "split", "count-check", "selftest"
+    }
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    for line in lines:
+        if line.startswith("commrep "):
+            line = f"{shlex.quote(sys.executable)} -m {line}"
+        res = subprocess.run(line, shell=True, cwd=workdir, capture_output=True, text=True, env=env)
+        assert res.returncode == 0, (line, res.stdout, res.stderr)
 
 
 def test_emitted_json_is_canonical(workdir):

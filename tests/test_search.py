@@ -11,7 +11,7 @@ import pytest
 
 from commrep.commgraph import Assignment, CommGraph, matching_graph, realizes
 from commrep.errors import GuardError, InvalidHintError
-from commrep.exactla import GF, Matrix, commutator, is_invertible
+from commrep.exactla import GF, Matrix, block_diagonal, commutator, is_invertible, zeros
 from commrep.search import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -27,7 +27,6 @@ from commrep.search import (
     exists_realization,
     matching_lower_bound,
     min_realization_dim,
-    pad_assignment,
 )
 from commrep.witness import sharp_witness
 
@@ -178,7 +177,8 @@ def test_exhaustive_exclusions_never_contradict_matching_bound():
 
 def test_monotone_padding_preserves_realization():
     out = exists_realization(matching_graph(1), GF(2), 2)
-    padded = pad_assignment(out.witness, 2)
+    pad = zeros(2, 2, GF(2))
+    padded = Assignment(tuple(block_diagonal([m, pad]) for m in out.witness.matrices))
     assert padded.dimension == 4
     assert realizes(padded, matching_graph(1)).ok
 
