@@ -17,13 +17,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from commrep import QQ, sharp_witness  # noqa: E402
 from commrep.certificate import (  # noqa: E402
     build_certificate,
     certificate_to_json,
     pairs_from_assignment,
     verify_certificate,
 )
+from commrep.exactla import QQ  # noqa: E402
+from commrep.witness import sharp_witness  # noqa: E402
 
 
 def main():

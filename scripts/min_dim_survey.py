@@ -29,18 +29,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from commrep import (  # noqa: E402
-    GF,
-    Assignment,
-    CommGraph,
-    FieldSpec,
-    elementary_matrix,
-    matching_lower_bound,
-    min_realization_dim,
-    realizes,
-    sharp_witness,
-    zeros,
-)
+from commrep.commgraph import Assignment, CommGraph, realizes  # noqa: E402
+from commrep.exactla import GF, FieldSpec, elementary_matrix, zeros  # noqa: E402
+from commrep.search import matching_lower_bound, min_realization_dim  # noqa: E402
+from commrep.witness import sharp_witness  # noqa: E402
 
 
 def generic_witness(graph: CommGraph, field) -> Assignment:

@@ -13,10 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CommrepError, SchemaError
+from .errors import CommrepError, SchemaError, _decimal
 
 # Each handler imports what it runs, so a call loads only the modules its
-# subcommand needs (see the package ``__init__``).
+# subcommand needs; importing this module loads only ``errors``.
 
 
 class UsageError(CommrepError):
@@ -41,6 +41,13 @@ def _field_arg(text: str) -> FieldSpec:
         return FieldSpec.from_name(text)
     except ValueError as e:
         raise UsageError(str(e)) from None
+
+
+def _int_arg(text: str) -> int:
+    value = _decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _load_json(pathname: str):
@@ -247,9 +254,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
     w = sub.add_parser("witness", help="emit the sharp matching-pattern witness")
-    w.add_argument("--n", type=int, required=True, help="number of pairs")
-    w.add_argument("--lambda", dest="lam", required=True, help="unit scalar, e.g. 2 or 1/2")
-    w.add_argument("--field", type=_field_arg, required=True, help="Q or Fp:<prime>")
+    w.add_argument("--n", type=_int_arg, required=True, help="number of pairs")
+    w.add_argument("--lambda", dest="lam", required=True,
+                   help="nonzero scalar a or a/b in ASCII decimal digits, b > 0, e.g. 2 or 1/2")
+    w.add_argument("--field", type=_field_arg, required=True,
+                   help="Q or Fp:<prime>, the prime in ASCII digits with no leading zero")
     w.set_defaults(handler=cmd_witness)
 
     vg = sub.add_parser("verify-graph", help="check whether an assignment realizes a graph")
@@ -269,11 +278,11 @@ def build_parser() -> _Parser:
     se = sub.add_parser("search", help="bracket the minimal realization dimension")
     se.add_argument("--graph", required=True, help="graph JSON file")
     se.add_argument("--field", type=_field_arg, required=True, help="Fp:<prime>")
-    se.add_argument("--rmax", type=int, required=True, help="largest dimension to try")
+    se.add_argument("--rmax", type=_int_arg, required=True, help="largest dimension to try")
     se.add_argument("--mode", choices=["all", "invertible_only"], default="all")
-    se.add_argument("--budget", type=int, default=10**8, help="constraint-check node limit")
+    se.add_argument("--budget", type=_int_arg, default=10**8, help="constraint-check node limit")
     se.add_argument("--hint", default=None, help="assignment JSON giving an upper bound")
-    se.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; changes nothing")
+    se.add_argument("--jobs", type=_int_arg, default=1, help="accepted for compatibility; changes nothing")
     se.set_defaults(handler=cmd_search)
 
     sp = sub.add_parser("split", help="composition factors of a matrix module")

@@ -8,6 +8,7 @@ exception; the CLI maps it to 3).
 Every reader of an input document (``*_from_json``) checks its shape with
 ``json_object``, ``json_list`` and ``json_int`` and raises only
 ``SchemaError``, whose message starts with the JSON path of the first fault.
+Every decimal string, in a document or on the command line, is read by ``_decimal``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,17 @@ def json_int(value, minimum: int, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise SchemaError(f"expected an integer >= {minimum}, got {value!r}", path)
     return value
+
+
+def _decimal(text: str) -> int | None:
+    """The integer a decimal string spells (ASCII digits, optional leading '-'), or None."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 class FieldTooSmallError(CommrepError):

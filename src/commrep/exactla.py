@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import SchemaError, json_int, json_list, json_object
+from .errors import SchemaError, _decimal, json_int, json_list, json_object
 
 ScalarValue = Union[Fraction, int]
 
@@ -100,10 +100,10 @@ class FieldSpec:
         if name == "Q":
             return QQ
         if isinstance(name, str) and name.startswith("Fp:"):
-            body = name[3:]
-            if not body.isdigit():
+            p = _decimal(name[3:])
+            if p is None or name[3] in "-0":
                 raise ValueError(f"bad field name {name!r}")
-            return GF(int(body))
+            return GF(p)
         raise ValueError(f"bad field name {name!r} (expected 'Q' or 'Fp:<prime>')")
 
     # -- scalar arithmetic ------------------------------------------------
@@ -115,12 +115,15 @@ class FieldSpec:
         return _Q_ONE if self.is_rationals else 1
 
     def scalar(self, x) -> ScalarValue:
-        """Coerce ``x`` (int, Fraction, or "a/b" string) to a canonical scalar."""
+        """Coerce ``x`` (int, Fraction, or "a" or "a/b" decimal string) to a canonical scalar."""
         if isinstance(x, str):
-            try:
-                x = Fraction(x)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {x!r}") from None
+            num, slash, den = x.partition("/")
+            a, b = _decimal(num), _decimal(den) if slash else 1
+            if a is None or b is None or b < 0:
+                raise ValueError(f"expected a or a/b in decimal digits with b > 0, got {x!r}")
+            if not b:
+                raise ValueError(f"zero denominator in {x!r}")
+            x = Fraction(a, b)
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise ValueError(f"cannot coerce {x!r} to a {self.name()} scalar")
         if self.is_rationals:
@@ -593,17 +596,6 @@ def scalar_to_json(x: ScalarValue, field: FieldSpec):
     if field.is_rationals:
         return [str(x.numerator), str(x.denominator)]
     return str(x)
-
-
-def _decimal(text: str) -> Optional[int]:
-    """The integer a decimal string spells (ASCII digits, optional leading '-'), or None."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        return None
 
 
 def scalar_from_json(obj, field: FieldSpec, path: str = "scalar") -> ScalarValue:

@@ -16,26 +16,6 @@ from fractions import Fraction
 from math import prod
 from pathlib import Path
 
-from commrep import (
-    GF,
-    QQ,
-    ModuleSpec,
-    commutator,
-    composition_factor_dims,
-    counting_chain_check,
-    elementary_matrix,
-    identity,
-    inverse,
-    is_invertible,
-    is_triangularizable,
-    matching_graph,
-    matrix_from_rows,
-    min_realization_dim,
-    product_block_embedding,
-    realizes,
-    sharp_witness,
-    span_rank,
-)
 from commrep.certificate import (
     REASON_ALPHA_V_ZERO,
     REASON_ALPHA_ZV_ZERO,
@@ -54,6 +34,26 @@ from commrep.certificate import (
     pairs_from_assignment,
     verify_certificate,
 )
+from commrep.commgraph import matching_graph, realizes
+from commrep.exactla import (
+    GF,
+    QQ,
+    commutator,
+    elementary_matrix,
+    identity,
+    inverse,
+    is_invertible,
+    matrix_from_rows,
+    span_rank,
+)
+from commrep.modsplit import (
+    ModuleSpec,
+    composition_factor_dims,
+    counting_chain_check,
+    is_triangularizable,
+)
+from commrep.search import min_realization_dim
+from commrep.witness import product_block_embedding, sharp_witness
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

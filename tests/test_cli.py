@@ -300,6 +300,53 @@ def test_json_booleans_and_empty_certificate_are_typed_errors(workdir, command, 
         assert error["message"].startswith(tuple(paths.values()))
 
 
+@pytest.mark.parametrize("field", ["Fp:\u0663", "Fp:0003"], ids=["arabic-indic-digit", "leading-zeros"])
+def test_field_name_takes_ascii_digits_with_no_leading_zero(field):
+    res = run_cli("witness", "--n", "1", "--lambda", "2", "--field", field)
+    assert res.returncode == 1
+    assert payload(res)["error"]["code"] == "usage"
+
+
+def test_matrix_field_with_a_leading_zero_is_a_schema_error(workdir):
+    a = _write(workdir, "a.json", {"matrices": [dict(_ONE, field="Fp:03", entries=["1"])]})
+    b = _write(workdir, "b.json", {"vertices": 1, "edges": []})
+    res = run_cli("verify-graph", "--input", a, "--graph", b)
+    assert res.returncode == 1
+    error = payload(res)["error"]
+    assert error["code"] == "schema"
+    assert error["message"].startswith(f"{a}.matrices[0].field: ")
+
+
+_WITNESS = ["witness", "--n", "2", "--field", "Q", "--lambda"]
+_SEARCH = ["search", "--graph", "g.json", "--field", "Fp:2", "--rmax", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, code",
+    [
+        ([*_WITNESS, "1e0"], 2, "invalid_argument"),
+        ([*_WITNESS, "1.5"], 2, "invalid_argument"),
+        ([*_WITNESS, " \u0662 "], 2, "invalid_argument"),
+        ([*_WITNESS, "1_0"], 2, "invalid_argument"),
+        ([*_WITNESS, "1/-2"], 2, "invalid_argument"),
+        (["witness", "--n", "\u0662", "--lambda", "2", "--field", "Q"], 1, "usage"),
+        (["witness", "--n", " 1_0", "--lambda", "2", "--field", "Q"], 1, "usage"),
+        (["search", "--graph", "g.json", "--field", "Fp:2", "--rmax", "\u0662"], 1, "usage"),
+        ([*_SEARCH, "--budget", "10_000"], 1, "usage"),
+        ([*_SEARCH, "--jobs", "+1"], 1, "usage"),
+    ],
+    ids=["lambda-exponent", "lambda-decimal-point", "lambda-spaced-non-ascii", "lambda-underscore",
+         "lambda-negative-denominator", "n-non-ascii", "n-spaced-underscore", "rmax-non-ascii",
+         "budget-underscore", "jobs-plus-sign"],
+)
+def test_cli_numbers_follow_the_json_number_rule(argv, exit_code, code):
+    # --lambda takes "a" or "a/b" and an integer option "a", in ASCII decimal digits;
+    # the search refusals end before any file is read
+    res = run_cli(*argv)
+    assert res.returncode == exit_code
+    assert payload(res)["error"]["code"] == code
+
+
 def test_selftest_passes():
     res = run_cli("selftest")
     assert res.returncode == 0
@@ -380,29 +427,3 @@ def test_modsplit_calls_load_no_graph_code(workdir, command, doc):
     loaded = _commrep_modules_after("from commrep.cli import main", f"assert main({argv!r}) == 0")
     assert "commrep.modsplit" in loaded
     assert not loaded & {"commrep.commgraph", "commrep.certificate", "commrep.search", "commrep.witness"}
-
-
-def test_every_public_name_resolves_lazily_to_its_module():
-    _commrep_modules_after(
-        "import importlib, commrep",
-        "listed = dir(commrep)",
-        "for name in commrep.__all__:",
-        "    assert name in listed, name",
-        "    owner = importlib.import_module('commrep.' + commrep._MODULE_OF[name])",
-        "    assert getattr(commrep, name) is getattr(owner, name), name",
-        "star = {}",
-        "exec('from commrep import *', star)",
-        "assert all(star[name] is getattr(commrep, name) for name in commrep.__all__)",
-    )
-
-
-def test_unknown_package_attribute_raises_attribute_error():
-    _commrep_modules_after(
-        "import commrep",
-        "try:",
-        "    commrep.no_such_name",
-        "except AttributeError as e:",
-        "    assert 'no_such_name' in str(e)",
-        "else:",
-        "    raise SystemExit('commrep.no_such_name resolved')",
-    )

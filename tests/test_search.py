@@ -23,6 +23,7 @@ from commrep.search import (
     STATUS_EXHAUSTED,
     VERTEX_CAP,
     _classes,
+    _Classes,
     class_count,
     exists_realization,
     matching_lower_bound,
@@ -250,6 +251,34 @@ def test_commuting_rows_match_brute_force(r, p, count, step):
     for i, a in list(enumerate(reps))[::step]:
         row = classes.row(i)
         assert [row >> j & 1 for j in range(classes.count)] == [_commutes(a, b, r, p) for b in reps]
+
+
+@pytest.mark.parametrize("graph", [CommGraph.make(4, [(1, 2), (2, 3), (3, 4)]), matching_graph(2)],
+                         ids=["P4", "matching-2"])
+@pytest.mark.parametrize("r, p", [(2, 2), (3, 2), (2, 3)])
+def test_row_cache_eviction_changes_no_outcome(monkeypatch, graph, r, p):
+    # a 16-bit bound keeps at most ceil(16 / count) rows of a class table, so every sweep evicts
+    expected = exists_realization(graph, GF(p), r)
+    bound, held, evicted = 16, [], []
+    row = _Classes.row
+
+    def tracked_row(self, index):
+        computed, before = index and index not in self._rows, len(self._rows)
+        value = row(self, index)
+        held.append((len(self._rows), -(-bound // self.count)))
+        evicted.append(computed and len(self._rows) <= before)
+        return value
+
+    monkeypatch.setattr("commrep.search._ROW_CACHE_BITS", bound)
+    monkeypatch.setattr(_Classes, "row", tracked_row)
+    _classes.cache_clear()
+    try:
+        got = exists_realization(graph, GF(p), r)
+    finally:
+        _classes.cache_clear()
+    assert (got.status, got.nodes, got.witness) == (expected.status, expected.nodes, expected.witness)
+    assert all(rows <= cap for rows, cap in held)
+    assert any(evicted)
 
 
 def _labelled_graphs(m):
