@@ -256,7 +256,8 @@ def build_parser() -> _Parser:
     w = sub.add_parser("witness", help="emit the sharp matching-pattern witness")
     w.add_argument("--n", type=_int_arg, required=True, help="number of pairs")
     w.add_argument("--lambda", dest="lam", required=True,
-                   help="nonzero scalar a or a/b in ASCII decimal digits, b > 0, e.g. 2 or 1/2")
+                   help="nonzero scalar a or a/b in ASCII decimal digits, b > 0, e.g. 2 or 1/2; "
+                        "a negative fraction needs the = form, --lambda=-1/2")
     w.add_argument("--field", type=_field_arg, required=True,
                    help="Q or Fp:<prime>, the prime in ASCII digits with no leading zero")
     w.set_defaults(handler=cmd_witness)

@@ -16,7 +16,9 @@ rationals is multiplied by the lcm of its denominators (``_integer_rows``,
 ``_integer_nonzero_rows``), the loop adds and multiplies plain ints, and a
 fraction is formed once per result entry.  Products do this per factor,
 elimination per row, and ``certificate`` uses the same helpers for its Gram
-matrix and grid descent.
+matrix and grid descent.  Products and commutators share one integer pass,
+``_products``: a commutator [a, b] accumulates ab - ba row by row, over the
+one denominator both products share.
 
 Indices in the public API are 1-based, matching the usual E_{i,j} notation
 for elementary matrices; storage is 0-based internally.
@@ -116,6 +118,12 @@ class FieldSpec:
 
     def scalar(self, x) -> ScalarValue:
         """Coerce ``x`` (int, Fraction, or "a" or "a/b" decimal string) to a canonical scalar."""
+        # an exact int, or over Q an exact Fraction, is canonical once reduced; bool and other subclasses
+        # take the checks below
+        if type(x) is int:
+            return Fraction(x) if self.characteristic is None else x % self.characteristic
+        if type(x) is Fraction and self.characteristic is None:
+            return x
         if isinstance(x, str):
             num, slash, den = x.partition("/")
             a, b = _decimal(num), _decimal(den) if slash else 1
@@ -298,38 +306,12 @@ class Matrix:
         return Matrix._sparse(f, self.rows, self.cols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Product over the nonzero entries.
-
-        Over Q each factor is scaled to integers by the lcm of its
-        denominators, da and db; the products accumulate as integers and each
-        nonzero output entry becomes one fraction acc / (da db).  Over F_p the
-        residues accumulate and each output entry is reduced mod p once.
-        """
+        """Product over the nonzero entries, by ``_products``."""
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        p = self.field.characteristic
-        arows, brows = self.nonzero_rows, other.nonzero_rows
-        if p is None:
-            arows, da = _integer_nonzero_rows(arows)
-            brows, db = _integer_nonzero_rows(brows)
-            den = da * db
-        out = []
-        for arow in arows:
-            acc = {}
-            for k, a in arow:
-                for j, b in brows[k]:
-                    prod = a * b
-                    if j in acc:
-                        acc[j] = acc[j] + prod
-                    else:
-                        acc[j] = prod
-            if p is None:
-                out.append(tuple((j, Fraction(acc[j], den)) for j in sorted(acc) if acc[j]))
-            else:
-                out.append(_sorted_row(acc, p))
-        return Matrix._sparse(self.field, self.rows, other.cols, tuple(out))
+        return _products(self, other, commute=False)
 
     def transpose(self) -> "Matrix":
         buckets = [[] for _ in range(self.cols)]
@@ -439,7 +421,45 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("field mismatch")
     if not (a.is_square and b.is_square and a.rows == b.rows):
         raise ValueError("dimension mismatch")
-    return (a @ b) - (b @ a)
+    return _products(a, b, commute=True)
+
+
+def _products(a: Matrix, b: Matrix, commute: bool) -> Matrix:
+    """ab, or ab - ba when ``commute``, in one pass over the nonzero entries.
+
+    Over Q each factor is scaled to integers by the lcm of its denominators,
+    da and db; row i accumulates the integers a_ik b_kj (less b_ik a_kj when
+    commuting) in one dict, and each nonzero entry becomes one fraction
+    acc / (da db), the denominator both products share.  Over F_p the
+    residues accumulate and each output entry is reduced mod p once.
+    """
+    p = a.field.characteristic
+    arows, brows = a.nonzero_rows, b.nonzero_rows
+    if p is None:
+        arows, da = _integer_nonzero_rows(arows)
+        brows, db = _integer_nonzero_rows(brows)
+        den = da * db
+    out = []
+    for i, arow in enumerate(arows):
+        acc = {}
+        for k, x in arow:
+            for j, y in brows[k]:
+                if j in acc:
+                    acc[j] += x * y
+                else:
+                    acc[j] = x * y
+        if commute:
+            for k, y in brows[i]:
+                for j, x in arows[k]:
+                    if j in acc:
+                        acc[j] -= y * x
+                    else:
+                        acc[j] = -y * x
+        if p is None:
+            out.append(tuple((j, Fraction(acc[j], den)) for j in sorted(acc) if acc[j]))
+        else:
+            out.append(_sorted_row(acc, p))
+    return Matrix._sparse(a.field, a.rows, b.cols, tuple(out))
 
 
 # -- elimination -----------------------------------------------------------
@@ -554,7 +574,15 @@ def span_rank(vectors: Sequence[Sequence[ScalarValue]], field: FieldSpec) -> int
     """Dimension of the span of equal-length vectors over ``field``."""
     if not vectors:
         raise ValueError("need at least one vector")
-    return rank(matrix_from_rows(field, vectors))
+    width = len(vectors[0])
+    rows = []
+    for vec in vectors:
+        if len(vec) != width:
+            raise ValueError("ragged rows")
+        rows.append(_integer_row([field.scalar(x) for x in vec], field))
+    if not width:
+        raise ValueError("matrix dimensions must be positive")
+    return len(_reduced_form(rows, width, field.characteristic)[1])
 
 
 def is_invertible(a: Matrix) -> bool:

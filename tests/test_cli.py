@@ -347,6 +347,16 @@ def test_cli_numbers_follow_the_json_number_rule(argv, exit_code, code):
     assert payload(res)["error"]["code"] == code
 
 
+@pytest.mark.parametrize("field, lam, lam_text", [("Q", ["-1", "2"], '"lambda":["-1","2"]'),
+                                                  ("Fp:7", "3", '"lambda":"3"')])
+def test_negative_fraction_lambda_in_the_equals_form(field, lam, lam_text):
+    # argparse reads a separate "-1/2" as an option, so a negative fraction needs --lambda=-1/2
+    res = run_cli("witness", "--n", "1", "--lambda=-1/2", "--field", field)
+    assert res.returncode == 0
+    assert payload(res)["lambda"] == lam
+    assert lam_text in res.stdout
+
+
 def test_selftest_passes():
     res = run_cli("selftest")
     assert res.returncode == 0

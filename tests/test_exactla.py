@@ -1,5 +1,6 @@
 """Exact linear algebra: frozen examples, oracle cross-checks, and properties."""
 
+import enum
 import itertools
 from fractions import Fraction
 
@@ -74,6 +75,25 @@ def test_scalar_coercion():
     for field in (QQ, GF(5)):
         with pytest.raises(ValueError):
             field.scalar("1/0")
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+def test_canonical_scalars_skip_coercion_and_others_keep_the_checks():
+    half = F("1/2")
+    assert QQ.scalar(half) is half
+    assert QQ.scalar(3) == 3 and type(QQ.scalar(3)) is Fraction
+    assert GF(5).scalar(7) == 2 and GF(5).scalar(-1) == 4
+    assert type(GF(5).scalar(7)) is int
+    with pytest.raises(ValueError):
+        QQ.scalar(True)
+    with pytest.raises(ValueError):
+        GF(5).scalar(False)
+    # an int subclass other than bool is coerced to the plain scalar it stands for
+    assert QQ.scalar(_Level.HIGH) == 7 and type(QQ.scalar(_Level.HIGH)) is Fraction
+    assert GF(5).scalar(_Level.HIGH) == 2 and type(GF(5).scalar(_Level.HIGH)) is int
 
 
 @given(st.sampled_from([QQ, GF(2), GF(5), GF(97)]), st.data())
@@ -227,6 +247,22 @@ def test_kernel_vectors_annihilate_and_are_independent(a):
 def test_span_rank_examples():
     assert span_rank([(F(1), F(0)), (F(0), F(1))], QQ) == 2
     assert span_rank([(F(1), F(1)), (F(2), F(2))], QQ) == 1
+
+
+def test_span_rank_coerces_its_entries_and_keeps_its_refusals():
+    assert span_rank([[5, 10]], GF(5)) == 0
+    assert span_rank([[1, 6], [3, 18]], GF(5)) == 1
+    assert span_rank([[1, "1/2"], ["2", 1]], QQ) == 1
+    assert span_rank([[1, "1/2"], [0, "-3"]], QQ) == 2
+    with pytest.raises(ValueError, match="need at least one vector"):
+        span_rank([], QQ)
+    for field in (QQ, GF(5)):
+        with pytest.raises(ValueError, match="ragged rows"):
+            span_rank([[1, 2], [1]], field)
+        with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+            span_rank([[], []], field)
+    with pytest.raises(ValueError, match="cannot coerce"):
+        span_rank([[1, True]], QQ)
 
 
 @settings(max_examples=40)

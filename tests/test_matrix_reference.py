@@ -183,6 +183,93 @@ def test_block_diagonal_and_commutator(data):
     assert_matches(commutator(build(field, a_rows), build(field, b_rows)), field, expected)
 
 
+# -- the shared product routine against the two-product commutator -----------
+
+
+def oracle_commutator(a, b):
+    """[a, b] from its definition, two products and a difference."""
+    return (a @ b) - (b @ a)
+
+
+def assert_products_match(field, a_rows, b_rows):
+    """a @ b matches the dense reference and [a, b] and [b, a] match the oracle and the reference."""
+    a, b = build(field, a_rows), build(field, b_rows)
+    assert_matches(a @ b, field, ref_matmul(field, a_rows, b_rows))
+    ab, ba = ref_matmul(field, a_rows, b_rows), ref_matmul(field, b_rows, a_rows)
+    forward, backward = commutator(a, b), commutator(b, a)
+    assert_matches(forward, field, ref_combine(field, ab, ba, -1))
+    assert_matches(backward, field, ref_combine(field, ba, ab, -1))
+    assert forward == oracle_commutator(a, b) and backward == oracle_commutator(b, a)
+    return forward
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_commutator_matches_the_two_product_oracle(data):
+    field, values = data.draw(field_case())
+    n = data.draw(dims)
+    a_rows, b_rows = dense(data.draw, values, n, n), dense(data.draw, values, n, n)
+    assert_products_match(field, a_rows, b_rows)
+    assert assert_products_match(field, a_rows, a_rows).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_commutator_of_a_polynomial_in_a_is_zero(data):
+    # b = c0 I + c1 a + c2 a^2 commutes with a exactly, so every entry of ab - ba cancels
+    field, values = data.draw(field_case())
+    n = data.draw(dims)
+    a_rows = dense(data.draw, values, n, n)
+    c0, c1, c2 = (data.draw(values) for _ in range(3))
+    square = ref_matmul(field, a_rows, a_rows)
+    b_rows = [
+        [_canon(field, (c0 if i == j else 0) + c1 * a_rows[i][j] + c2 * square[i][j]) for j in range(n)]
+        for i in range(n)
+    ]
+    assert assert_products_match(field, a_rows, b_rows).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_commutator_of_scalar_plus_elementary_pairs(data):
+    # [lam I + E_ij, mu I + E_kl] = [E_ij, E_kl] = (j == k) E_il - (l == i) E_kj
+    field, values = data.draw(field_case())
+    n = data.draw(dims)
+    lam, mu = data.draw(values), data.draw(values)
+    i, j, k, l = (data.draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(4))
+    zero, one = _canon(field, 0), _canon(field, 1)
+
+    def shifted_unit(c, r, s):
+        return [[_canon(field, (c if x == y else 0) + (1 if (x, y) == (r, s) else 0)) for y in range(n)]
+                for x in range(n)]
+
+    expected = [[zero] * n for _ in range(n)]
+    if j == k:
+        expected[i][l] = one
+    if l == i:
+        expected[k][j] = _canon(field, expected[k][j] - 1)
+    result = assert_products_match(field, shifted_unit(lam, i, j), shifted_unit(mu, k, l))
+    assert_matches(result, field, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_whose_terms_cancel_entry_by_entry(data):
+    # a has equal columns k and k', b has row k' = -(row k): every term a_ik b_kj meets its negative
+    field, values = data.draw(field_case())
+    n = data.draw(st.integers(min_value=1, max_value=2))
+    col = [data.draw(values) for _ in range(2 * n)]
+    row = [data.draw(values) for _ in range(2 * n)]
+    a_rows = [[x] * 2 for x in col]
+    b_rows = [row, [_canon(field, -y) for y in row]]
+    assert build(field, a_rows) @ build(field, b_rows) == zeros(2 * n, 2 * n, field)
+    # padded to square, the same pair exercises the commutator's shared denominator
+    pad = _canon(field, 0)
+    a_sq = [r + [pad] * (2 * n - 2) for r in a_rows]
+    b_sq = b_rows + [[pad] * (2 * n) for _ in range(2 * n - 2)]
+    assert_products_match(field, a_sq, b_sq)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(101)])
 def test_explicit_zeros_equal_and_hash_like_arithmetic(field):
     zero, one = _canon(field, 0), _canon(field, 1)
