@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .commgraph import Assignment, matching_graph, realizes
 from .errors import FieldTooSmallError, PatternViolationError, json_int, json_list, json_object
@@ -106,8 +106,7 @@ class LowerBoundCertificate:
     concluded_bound: int
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     reasons: tuple
 

@@ -13,10 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CommrepError, SchemaError, _decimal
+from .errors import CommrepError, SchemaError, _decimal, field_characteristic, prime_characteristic
 
-# Each handler imports what it runs, so a call loads only the modules its
-# subcommand needs; importing this module loads only ``errors``.
+# Each handler reads its first input document, then imports what it runs, so a
+# call loads only the modules its subcommand needs and a call refused on its
+# first document loads none; importing this module loads only ``errors``.
 
 
 class UsageError(CommrepError):
@@ -34,13 +35,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _field_arg(text: str) -> FieldSpec:
-    from .exactla import FieldSpec
-
+def _field_arg(text: str) -> str:
+    """A field name that ``FieldSpec.from_name`` accepts, checked without importing ``exactla``."""
     try:
-        return FieldSpec.from_name(text)
+        prime_characteristic(field_characteristic(text))
     except ValueError as e:
         raise UsageError(str(e)) from None
+    return text
 
 
 def _int_arg(text: str) -> int:
@@ -67,34 +68,37 @@ def _emit(payload) -> None:
 
 
 def cmd_witness(ns):
-    from .commgraph import assignment_to_json
-    from .exactla import scalar_to_json
-    from .witness import sharp_witness
+    from .exactla import FieldSpec, scalar_to_json
 
+    field = FieldSpec.from_name(ns.field)
     try:
-        lam = ns.field.scalar(ns.lam)
+        lam = field.scalar(ns.lam)
     except ValueError as e:
         raise InvalidArgumentError(str(e)) from None
     if not lam:
         raise InvalidArgumentError("lambda must be nonzero in the chosen field")
     if ns.n < 1:
         raise InvalidArgumentError("--n must be at least 1")
-    assignment = sharp_witness(ns.n, lam, ns.field)
+    from .commgraph import assignment_to_json
+    from .witness import sharp_witness
+
+    assignment = sharp_witness(ns.n, lam, field)
     payload = assignment_to_json(
         assignment,
         **{
             "n": ns.n,
             "ordering": "a_1..a_n,b_1..b_n",
-            "lambda": scalar_to_json(lam, ns.field),
+            "lambda": scalar_to_json(lam, field),
         },
     )
     return payload, 0
 
 
 def cmd_verify_graph(ns):
+    doc = _load_json(ns.input)
     from .commgraph import assignment_from_json, graph_from_json, realizes
 
-    assignment = assignment_from_json(_load_json(ns.input), ns.input)
+    assignment = assignment_from_json(doc, ns.input)
     graph = graph_from_json(_load_json(ns.graph), ns.graph)
     if len(assignment) != graph.vertex_count:
         raise InvalidArgumentError(
@@ -112,10 +116,11 @@ def cmd_verify_graph(ns):
 
 
 def cmd_certify(ns):
+    doc = _load_json(ns.input)
     from .certificate import build_certificate, certificate_to_json, pairs_from_assignment
     from .commgraph import assignment_from_json
 
-    assignment = assignment_from_json(_load_json(ns.input), ns.input)
+    assignment = assignment_from_json(doc, ns.input)
     try:
         pairs = pairs_from_assignment(assignment)
     except ValueError as e:
@@ -125,10 +130,11 @@ def cmd_certify(ns):
 
 
 def cmd_verify_cert(ns):
+    doc = _load_json(ns.cert)
     from .certificate import certificate_from_json, pairs_from_assignment, verify_certificate
     from .commgraph import assignment_from_json
 
-    cert = certificate_from_json(_load_json(ns.cert), ns.cert)
+    cert = certificate_from_json(doc, ns.cert)
     assignment = assignment_from_json(_load_json(ns.input), ns.input)
     try:
         pairs = pairs_from_assignment(assignment)
@@ -139,21 +145,25 @@ def cmd_verify_cert(ns):
 
 
 def cmd_search(ns):
+    doc = _load_json(ns.graph)
     from .commgraph import assignment_from_json, graph_from_json
-    from .search import STATUS_EXHAUSTED, min_realization_dim, report_to_json
+    from .exactla import FieldSpec
 
-    graph = graph_from_json(_load_json(ns.graph), ns.graph)
+    graph = graph_from_json(doc, ns.graph)
     hint = None
     if ns.hint:
         hint = assignment_from_json(_load_json(ns.hint), ns.hint)
-    if ns.field.is_rationals:
+    field = FieldSpec.from_name(ns.field)
+    if field.is_rationals:
         raise InvalidArgumentError("search needs a finite field, e.g. --field Fp:2")
     for option, value, least in (("--rmax", ns.rmax, 1), ("--budget", ns.budget, 0), ("--jobs", ns.jobs, 1)):
         if value < least:
             raise InvalidArgumentError(f"{option} must be at least {least}")
+    from .search import STATUS_EXHAUSTED, min_realization_dim, report_to_json
+
     report = min_realization_dim(
         graph,
-        ns.field,
+        field,
         r_max=ns.rmax,
         mode=ns.mode,
         budget=ns.budget,
@@ -164,18 +174,20 @@ def cmd_search(ns):
 
 
 def cmd_split(ns):
+    doc = _load_json(ns.module)
     from .modsplit import composition_factor_dims, module_from_json, report_to_json
 
-    spec = module_from_json(_load_json(ns.module), ns.module)
+    spec = module_from_json(doc, ns.module)
     report = composition_factor_dims(spec)
     return report_to_json(report), 0
 
 
 def cmd_count_check(ns):
+    doc = _load_json(ns.dims)
     from .modsplit import count_check_to_json, counting_chain_check, dims_from_json
 
     # dims_from_json returns only tables that counting_chain_check accepts
-    table = dims_from_json(_load_json(ns.dims), ns.dims)
+    table = dims_from_json(doc, ns.dims)
     return count_check_to_json(counting_chain_check(table)), 0
 
 

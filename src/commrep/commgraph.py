@@ -17,31 +17,44 @@ import bisect
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import SchemaError, json_int, json_list, json_object
-from .exactla import FieldSpec, Matrix, matrix_from_json, matrix_to_json
+from .exactla import FieldSpec, Matrix, _read_only, matrix_from_json, matrix_to_json
 
 
-@dataclass(frozen=True)
 class CommGraph:
-    """Simple graph on vertices 1..m with unordered edges and no loops."""
+    """Simple graph on vertices 1..m with unordered edges and no loops.
 
-    vertex_count: int
-    edges: frozenset  # of (u, v) tuples with u < v
+    Equal and hashed by (vertex_count, edges); the fields cannot be assigned.
+    """
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges: frozenset):
+        """``edges`` is a frozenset of (u, v) tuples with u < v."""
+        if vertex_count < 1:
             raise ValueError("vertex count must be positive")
-        for e in self.edges:
+        for e in edges:
             if not (isinstance(e, tuple) and len(e) == 2):
                 raise ValueError(f"bad edge {e!r}")
             u, v = e
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            if not (1 <= u < v <= self.vertex_count):
-                raise ValueError(f"edge {e!r} outside 1..{self.vertex_count}")
+            if not (1 <= u < v <= vertex_count):
+                raise ValueError(f"edge {e!r} outside 1..{vertex_count}")
+        self.__dict__.update(vertex_count=vertex_count, edges=edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self):
+        return f"CommGraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
+
+    __setattr__ = __delattr__ = _read_only
 
     @staticmethod
     def make(vertex_count: int, edges: Iterable[Sequence[int]]) -> "CommGraph":
@@ -69,21 +82,35 @@ def matching_graph(n: int) -> CommGraph:
     return CommGraph.make(2 * n, [(i, n + i) for i in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
 class Assignment:
-    """One square matrix per vertex, all of one dimension over one field."""
+    """One square matrix per vertex, all of one dimension over one field.
 
-    matrices: tuple
+    Equal and hashed by its tuple of matrices, which cannot be assigned.
+    """
 
-    def __post_init__(self):
-        if not self.matrices:
+    def __init__(self, matrices: tuple):
+        if not matrices:
             raise ValueError("assignment must be nonempty")
-        first = self.matrices[0]
-        for m in self.matrices:
+        first = matrices[0]
+        for m in matrices:
             if not isinstance(m, Matrix) or not m.is_square:
                 raise ValueError("assignments hold square matrices")
             if m.field != first.field or m.rows != first.rows:
                 raise ValueError("uniform dimension and field required")
+        self.__dict__["matrices"] = matrices
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrices == other.matrices
+
+    def __hash__(self):
+        return hash((self.matrices,))
+
+    def __repr__(self):
+        return f"Assignment(matrices={self.matrices!r})"
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def field(self) -> FieldSpec:
@@ -97,8 +124,7 @@ class Assignment:
         return len(self.matrices)
 
 
-@dataclass(frozen=True)
-class PairStatus:
+class PairStatus(NamedTuple):
     """Commutation status of one vertex pair against the graph's demand."""
 
     u: int
@@ -107,8 +133,7 @@ class PairStatus:
     commutes: bool
 
 
-@dataclass(frozen=True)
-class RealizationCheck:
+class RealizationCheck(NamedTuple):
     ok: bool
     violations: tuple  # of PairStatus, exhaustive
 

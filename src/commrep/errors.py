@@ -8,7 +8,8 @@ exception; the CLI maps it to 3).
 Every reader of an input document (``*_from_json``) checks its shape with
 ``json_object``, ``json_list`` and ``json_int`` and raises only
 ``SchemaError``, whose message starts with the JSON path of the first fault.
-Every decimal string, in a document or on the command line, is read by ``_decimal``.
+Every decimal string, in a document or on the command line, is read by
+``_decimal``, and every field name by ``field_characteristic``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,57 @@ def _decimal(text: str) -> int | None:
         return int(text)
     except ValueError:  # more digits than int() converts
         return None
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs we accept."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_characteristic(p):
+    """``p`` if it is None (the rationals) or a prime int; ValueError otherwise."""
+    if p is not None and not (isinstance(p, int) and is_prime(p)):
+        raise ValueError(f"characteristic must be a prime >= 2, got {p!r}")
+    return p
+
+
+def field_characteristic(name) -> int | None:
+    """The characteristic a field name spells: None for "Q", p for "Fp:<p>".
+
+    Any other name raises ValueError; ``prime_characteristic`` checks that p
+    is prime.  The CLI checks ``--field`` with both before it imports any
+    library module.
+    """
+    if name == "Q":
+        return None
+    if isinstance(name, str) and name.startswith("Fp:"):
+        p = _decimal(name[3:])
+        if p is None or name[3] in "-0":
+            raise ValueError(f"bad field name {name!r}")
+        return p
+    raise ValueError(f"bad field name {name!r} (expected 'Q' or 'Fp:<prime>')")
 
 
 class FieldTooSmallError(CommrepError):

@@ -36,11 +36,18 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import SchemaError, _decimal, json_int, json_list, json_object
+from .errors import (
+    SchemaError,
+    _decimal,
+    field_characteristic,
+    json_int,
+    json_list,
+    json_object,
+    prime_characteristic,
+)
 
 ScalarValue = Union[Fraction, int]
 
@@ -48,43 +55,33 @@ ScalarValue = Union[Fraction, int]
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+def _read_only(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the value classes, whose fields never change."""
+    raise AttributeError(f"cannot assign to field {name!r}")
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs we accept."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
 class FieldSpec:
-    """An exact base field: the rationals (characteristic None), or integers modulo a prime."""
+    """An exact base field: the rationals (characteristic None), or integers modulo a prime.
 
-    characteristic: Optional[int]
+    Equal and hashed by its characteristic, which cannot be assigned.
+    """
 
-    def __post_init__(self):
-        p = self.characteristic
-        if p is not None and not (isinstance(p, int) and is_prime(p)):
-            raise ValueError(f"characteristic must be a prime >= 2, got {p!r}")
+    def __init__(self, characteristic: Optional[int]):
+        self.__dict__["characteristic"] = prime_characteristic(characteristic)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash((self.characteristic,))
+
+    def __repr__(self):
+        return f"FieldSpec(characteristic={self.characteristic!r})"
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def is_rationals(self) -> bool:
@@ -99,14 +96,8 @@ class FieldSpec:
 
     @staticmethod
     def from_name(name: str) -> "FieldSpec":
-        if name == "Q":
-            return QQ
-        if isinstance(name, str) and name.startswith("Fp:"):
-            p = _decimal(name[3:])
-            if p is None or name[3] in "-0":
-                raise ValueError(f"bad field name {name!r}")
-            return GF(p)
-        raise ValueError(f"bad field name {name!r} (expected 'Q' or 'Fp:<prime>')")
+        p = field_characteristic(name)
+        return QQ if p is None else GF(p)
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -196,7 +187,6 @@ def _sorted_row(acc: dict, p: Optional[int]) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, init=False)
 class Matrix:
     """Matrix with value semantics; entries share the matrix's field.
 
@@ -205,13 +195,9 @@ class Matrix:
     canonical, so equality and hashing compare matrices by value, and
     arithmetic on structured matrices costs O(nonzeros) Python work rather
     than O(rows * cols).  The dense views ``entries``, ``row_values`` and
-    ``rows_list`` are rebuilt on every call.
+    ``rows_list`` are rebuilt on every call.  The fields ``field``, ``rows``,
+    ``cols`` and ``nonzero_rows`` cannot be assigned.
     """
-
-    field: FieldSpec
-    rows: int
-    cols: int
-    nonzero_rows: tuple
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries: Sequence[ScalarValue]):
         """Matrix from its row-major entries, canonical scalars of ``field``."""
@@ -227,6 +213,21 @@ class Matrix:
         m = cls.__new__(cls)
         m.__dict__.update(field=field, rows=rows, cols=cols, nonzero_rows=nonzero_rows)
         return m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.rows, self.cols, self.nonzero_rows) == (
+            other.field, other.rows, other.cols, other.nonzero_rows)
+
+    def __hash__(self):
+        return hash((self.field, self.rows, self.cols, self.nonzero_rows))
+
+    def __repr__(self):
+        return (f"Matrix(field={self.field!r}, rows={self.rows!r}, cols={self.cols!r}, "
+                f"nonzero_rows={self.nonzero_rows!r})")
+
+    __setattr__ = __delattr__ = _read_only
 
     # -- shape / access ---------------------------------------------------
 

@@ -47,7 +47,6 @@ with S_j the set of columns where row j has an entry >= 2.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 from typing import NamedTuple, Optional, Sequence
@@ -57,6 +56,7 @@ from .exactla import (
     FieldSpec,
     Matrix,
     _insert_row,
+    _read_only,
     _reduced_form,
     field_from_json,
     identity,
@@ -76,28 +76,40 @@ VERDICT_SATISFIED = "satisfied"
 VERDICT_PRECONDITION_FAILED = "precondition_failed"
 
 
-@dataclass(frozen=True)
 class ModuleSpec:
-    """Invertible generators acting on F_p^dim."""
+    """Invertible generators acting on F_p^dim.
 
-    field: FieldSpec
-    dim: int
-    generators: tuple
+    Equal and hashed by (field, dim, generators); the fields cannot be assigned.
+    """
 
-    def __post_init__(self):
-        if not self.field.is_prime_field:
+    def __init__(self, field: FieldSpec, dim: int, generators: tuple):
+        if not field.is_prime_field:
             raise ValueError("module splitting works over prime fields only")
-        if self.dim < 1:
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        if not self.generators:
+        if not generators:
             raise ValueError("need at least one generator")
-        for g in self.generators:
-            if not isinstance(g, Matrix) or g.field != self.field:
+        for g in generators:
+            if not isinstance(g, Matrix) or g.field != field:
                 raise ValueError("generators must share the module's field")
-            if not g.is_square or g.rows != self.dim:
+            if not g.is_square or g.rows != dim:
                 raise ValueError("generators must be square of the module dimension")
             if not is_invertible(g):
                 raise ValueError("generators must be invertible")
+        self.__dict__.update(field=field, dim=dim, generators=generators)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.dim, self.generators) == (other.field, other.dim, other.generators)
+
+    def __hash__(self):
+        return hash((self.field, self.dim, self.generators))
+
+    def __repr__(self):
+        return f"ModuleSpec(field={self.field!r}, dim={self.dim!r}, generators={self.generators!r})"
+
+    __setattr__ = __delattr__ = _read_only
 
 
 class _Piece(NamedTuple):
@@ -113,8 +125,7 @@ class _Piece(NamedTuple):
     generators: tuple
 
 
-@dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(NamedTuple):
     factor_dims: tuple  # block sizes in series order; multiset is basis-independent
     series: tuple  # 0 = d_0 < d_1 < ... < d_s = dim
     flag_basis: Matrix  # columns are the new basis; conjugation is block-upper-triangular
@@ -284,8 +295,7 @@ def is_triangularizable(spec: ModuleSpec) -> bool:
     return all(d == 1 for d in report.factor_dims)
 
 
-@dataclass(frozen=True)
-class CountCheck:
+class CountCheck(NamedTuple):
     verdict: str
     failed_columns: tuple  # columns whose entries are all 1 (1-based)
     s_sets: tuple  # per row: columns with entry >= 2 (1-based)

@@ -22,8 +22,7 @@ matching on 2n vertices, by the analytic bound n+1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .commgraph import Assignment, CommGraph, assignment_to_json, graph_to_json, realizes
 from .errors import GuardError, InvalidHintError
@@ -54,15 +53,13 @@ VERTEX_CAP = 1000  # refuse graphs with more vertices than this: the sweep's sta
 _ROW_CACHE_BITS = 2**25  # cached rows of one (r, p) are dropped beyond this many bits
 
 
-@dataclass(frozen=True)
-class ExistsOutcome:
+class ExistsOutcome(NamedTuple):
     status: str  # found | none | budget_exceeded
     witness: Optional[Assignment]
     nodes: int
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     graph: CommGraph
     field: FieldSpec
     mode: str

@@ -395,18 +395,23 @@ def test_emitted_json_is_canonical(workdir):
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == res.stdout
 
 
-def _commrep_modules_after(*statements):
-    """The ``commrep`` modules loaded after running ``statements`` in a fresh interpreter."""
+def _modules_after(*statements):
+    """The names in ``sys.modules`` after running ``statements`` in a fresh interpreter."""
     code = "\n".join([
         *statements,
         "import json, sys",
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'commrep')))",
+        "print(json.dumps(sorted(sys.modules)))",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def _commrep_modules_after(*statements):
+    """The ``commrep`` modules loaded after running ``statements`` in a fresh interpreter."""
+    return {m for m in _modules_after(*statements) if m.split(".")[0] == "commrep"}
 
 
 def test_importing_the_package_or_the_cli_loads_no_library_module():
@@ -437,3 +442,76 @@ def test_modsplit_calls_load_no_graph_code(workdir, command, doc):
     loaded = _commrep_modules_after("from commrep.cli import main", f"assert main({argv!r}) == 0")
     assert "commrep.modsplit" in loaded
     assert not loaded & {"commrep.commgraph", "commrep.certificate", "commrep.search", "commrep.witness"}
+
+
+_GOOD_CALLS = {
+    "witness": (["witness", "--n", "2", "--lambda", "2", "--field", "Q"], {}),
+    "verify-graph": (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+                     {"a": {"matrices": [_ONE, _ONE]}, "b": {"vertices": 2, "edges": []}}),
+    "search": (["search", "--graph", "{a}", "--field", "Fp:2", "--rmax", "2"],
+               {"a": {"vertices": 2, "edges": [[1, 2]]}}),
+    "split": (["split", "--module", "{a}"], {"a": {"field": "Fp:2", "dim": 1, "generators": [
+        {"field": "Fp:2", "rows": 1, "cols": 1, "entries": ["1"]}]}}),
+    "count-check": (["count-check", "--dims", "{a}"], {"a": {"dims": [[1, 2], [2, 1]]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOOD_CALLS))
+def test_calls_without_certificates_import_no_dataclasses(workdir, name):
+    command, docs = _GOOD_CALLS[name]
+    paths = {key: _write(workdir, f"{key}.json", doc) for key, doc in docs.items()}
+    argv = [arg.format(**paths) for arg in command]
+    loaded = _modules_after("from commrep.cli import main", f"assert main({argv!r}) == 0")
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"], {"a": b"{not json", "b": {"vertices": 1, "edges": []}}),
+        (["count-check", "--dims", "{missing}"], {}),
+        (["split", "--module", "{a}"], {"a": b"{not json"}),
+        (["search", "--graph", "{a}", "--field", "Fp:2", "--rmax", "2"], {"a": b'{"vertices": 2,'}),
+    ],
+    ids=["verify-graph-bad-json", "count-check-missing-file", "split-bad-json", "search-bad-graph"],
+)
+def test_a_call_refused_on_its_first_document_loads_no_library_module(workdir, command, files):
+    paths = {key: _write(workdir, f"{key}.json", doc) for key, doc in files.items()}
+    paths["missing"] = str(workdir / "missing.json")
+    argv = [arg.format(**paths) for arg in command]
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    error = payload(res)["error"]
+    assert error["code"] == "schema"
+    assert error["message"].startswith(f"{argv[2]}: ")  # the first document's path
+    loaded = _commrep_modules_after("from commrep.cli import main", f"assert main({argv!r}) == 1")
+    assert loaded == {"commrep", "commrep.cli", "commrep.errors"}
+
+
+def test_verify_graph_reports_a_bad_input_before_a_missing_graph(workdir):
+    a = _write(workdir, "a.json", {"matrices": 5})
+    res = run_cli("verify-graph", "--input", a, "--graph", str(workdir / "missing.json"))
+    assert res.returncode == 1
+    error = payload(res)["error"]
+    assert error["code"] == "schema"
+    assert error["message"].startswith(f"{a}.matrices: ")
+
+
+def test_search_over_q_reports_a_malformed_graph_first(workdir):
+    g = _write(workdir, "g.json", {"vertices": 2})
+    res = run_cli("search", "--graph", g, "--field", "Q", "--rmax", "2")
+    assert res.returncode == 1
+    assert payload(res)["error"]["code"] == "schema"
+
+
+def test_search_reports_a_non_prime_field_before_reading_the_graph(workdir):
+    res = run_cli("search", "--graph", str(workdir / "missing.json"), "--field", "Fp:4", "--rmax", "2")
+    assert res.returncode == 1
+    assert payload(res)["error"] == {"code": "usage", "message": "characteristic must be a prime >= 2, got 4"}
+
+
+def test_witness_reports_a_zero_lambda_before_a_zero_n():
+    res = run_cli("witness", "--n", "0", "--lambda", "0", "--field", "Q")
+    assert res.returncode == 2
+    assert payload(res)["error"] == {"code": "invalid_argument",
+                                     "message": "lambda must be nonzero in the chosen field"}

@@ -20,7 +20,6 @@ from commrep.exactla import (
     identity,
     inverse,
     is_invertible,
-    is_prime,
     kernel_basis,
     matrix_from_json,
     matrix_from_rows,
@@ -30,7 +29,7 @@ from commrep.exactla import (
     span_rank,
     zeros,
 )
-from commrep.errors import SchemaError
+from commrep.errors import SchemaError, is_prime
 
 from conftest import big_fractions, matrix_pair, square_matrix
 
