@@ -36,7 +36,6 @@ from .errors import FieldTooSmallError, PatternViolationError, json_int, json_li
 from .exactla import (
     FieldSpec,
     Matrix,
-    _integer_nonzero_rows,
     _integer_rows,
     commutator,
     dot,
@@ -125,10 +124,9 @@ def find_avoiding_vector(constraints: Sequence[Matrix], dim: int, field: FieldSp
     child.  Over F_p the digits must be distinct field elements, hence the
     p > c precondition.
 
-    The descent runs on plain integers.  Over Q each constraint is first
-    scaled by the lcm of its denominators, a nonzero multiple that vanishes
-    on the same vectors; over F_p the partial products are reduced mod p.
-    Only the chosen digits become field scalars.
+    The descent runs on the stored integers of each constraint, ``den``
+    times it, which vanishes on the same vectors; over F_p the partial
+    products are reduced mod p.  Only the chosen digits become field scalars.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -144,12 +142,10 @@ def find_avoiding_vector(constraints: Sequence[Matrix], dim: int, field: FieldSp
 
     # last column (1-based) holding a nonzero entry, per constraint; rows are column-ordered
     last_nonzero = [max(row[-1][0] for row in m.nonzero_rows if row) + 1 for m in constraints]
-    # columns[k][j]: the (row, value) pairs of the nonzero entries of column j of constraint k
+    # columns[k][j]: the (row, stored integer) pairs of the nonzero entries of column j of constraint k
     columns = [m.transpose().nonzero_rows for m in constraints]
-    if p is None:
-        columns = [_integer_nonzero_rows(cols)[0] for cols in columns]
 
-    # offsets[k]: the (scaled) M_k times the chosen prefix padded with zeros
+    # offsets[k]: den_k M_k times the chosen prefix padded with zeros
     offsets = [[0] * m.rows for m in constraints]
     chosen = []
     for col in range(1, dim + 1):
@@ -199,7 +195,8 @@ def _gram_entries(basis, v, alpha, field):
     """(rows, xv): the Gram rows alpha([x_i, x_j] v) and the images x_i v.
 
     alpha([x, y] v) = (alpha^T x) . (y v) - (alpha^T y) . (x v), so with
-    P[i][j] = (alpha^T x_i) . (x_j v) the Gram matrix is P - P^T.  Over Q the
+    P[i][j] = (alpha^T x_i) . (x_j v) the Gram matrix is P - P^T; alpha^T x_i
+    is the product of the 1 x r matrix alpha^T with x_i.  Over Q the
     vectors alpha^T x_i and x_j v are scaled to integers by the lcms d and e
     of their denominators, P is one integer product, and each entry above the
     diagonal is the one fraction (P[i][j] - P[j][i]) / (d e); over F_p, P is
@@ -207,7 +204,8 @@ def _gram_entries(basis, v, alpha, field):
     below the diagonal is the negated entry above it and the diagonal is zero.
     """
     xv = [m.apply(v) for m in basis]
-    ax = [m.apply_left(alpha) for m in basis]
+    alpha_t = _canonical_matrix([alpha], field)
+    ax = [(alpha_t @ m).row_values(1) for m in basis]
     p = field.characteristic
     if p is None:
         left, d = _integer_rows(ax)

@@ -13,11 +13,13 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CommrepError, SchemaError, _decimal, field_characteristic, prime_characteristic
+from .errors import CommrepError, GuardError, SchemaError, _decimal, field_characteristic, prime_characteristic
 
 # Each handler reads its first input document, then imports what it runs, so a
 # call loads only the modules its subcommand needs and a call refused on its
 # first document loads none; importing this module loads only ``errors``.
+
+WITNESS_N_CAP = 64  # refuse larger witnesses: the output holds 2n(n + 1)^2 entries
 
 
 class UsageError(CommrepError):
@@ -79,6 +81,8 @@ def cmd_witness(ns):
         raise InvalidArgumentError("lambda must be nonzero in the chosen field")
     if ns.n < 1:
         raise InvalidArgumentError("--n must be at least 1")
+    if ns.n > WITNESS_N_CAP:
+        raise GuardError(f"--n {ns.n} exceeds the cap {WITNESS_N_CAP}")
     from .commgraph import assignment_to_json
     from .witness import sharp_witness
 

@@ -2,19 +2,18 @@
 
 ``realizes`` decides whether a matrix assignment has exactly the commutation
 pattern a graph prescribes: adjacent vertices get non-commuting matrices,
-non-adjacent vertices get commuting ones.  The all-pairs check shifts each
-matrix by its most common diagonal entry and clears its denominators, which
-changes no commutator's vanishing.  It then compares only the pairs whose
-supports interact, on Python ints: each row is packed into one int, and one
-multiply-add per nonzero entry gives a row of a matrix's products with all
-its partners at once.  The result is one bitset of non-commuting partners
-per matrix, and ``realizes`` reads its violations off their XOR with the
-adjacency bitsets."""
+non-adjacent vertices get commuting ones.  The all-pairs check takes each
+matrix's stored integers (``den`` times the matrix) less their most common
+diagonal value, which changes no commutator's vanishing.  It then compares
+only the pairs whose supports interact, on Python ints: each row is packed
+into one int, and one multiply-add per nonzero entry gives a row of a
+matrix's products with all its partners at once.  The result is one bitset
+of non-commuting partners per matrix, and ``realizes`` reads its violations
+off their XOR with the adjacency bitsets."""
 
 from __future__ import annotations
 
 import bisect
-import math
 import operator
 from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -139,24 +138,23 @@ class RealizationCheck(NamedTuple):
 
 
 def _shifted_integer_rows(a: Matrix) -> dict:
-    """{row: {column: value}} of the nonzero entries of d(A - cI), all integers.
+    """{row: {column: value}} of the nonzero entries of den (A - cI), all integers.
 
     c is the most common diagonal entry of A, so a scalar-plus-sparse matrix
-    keeps only its sparse part, and [A - cI, B] = [A, B].  Over Q, d is the
-    lcm of the denominators of A - cI, and [dA, B] = d [A, B] vanishes with
-    [A, B]; over F_p, d = 1 and the values are residues.
+    keeps only its sparse part, and [A - cI, B] = [A, B].  The values are the
+    stored integers of A, den A, shifted by den c: over Q, [den A, B] =
+    den [A, B] vanishes with [A, B]; over F_p, den = 1 and the values are
+    residues.
     """
     p = a.field.characteristic
     diagonal = []
     for i, row in enumerate(a.nonzero_rows):
         k = bisect.bisect_left(row, (i,))
         diagonal.append(row[k][1] if k < len(row) and row[k][0] == i else 0)
-    keys = diagonal if p is not None else [x.as_integer_ratio() for x in diagonal]  # Fraction hashing is slow
-    common = Counter(keys).most_common(1)[0][0]
-    c = diagonal[keys.index(common)]
+    c = Counter(diagonal).most_common(1)[0][0]
     shifted = {}
-    for i, (row, x, key) in enumerate(zip(a.nonzero_rows, diagonal, keys)):
-        if key != common:
+    for i, (row, x) in enumerate(zip(a.nonzero_rows, diagonal)):
+        if x != c:
             row = shifted[i] = dict(row)
             row[i] = x - c if p is None else (x - c) % p
         elif not c:
@@ -165,11 +163,6 @@ def _shifted_integer_rows(a: Matrix) -> dict:
         elif len(row) > 1:
             row = shifted[i] = dict(row)
             del row[i]
-    if p is None:
-        d = math.lcm(*{x.denominator for row in shifted.values() for x in row.values()})
-        for row in shifted.values():
-            for j, x in row.items():
-                row[j] = x.numerator * (d // x.denominator)
     return shifted
 
 

@@ -153,7 +153,7 @@ class GuardError(CommrepError):
 
 
 class InvalidHintError(CommrepError):
-    """A supplied search hint does not realize the graph."""
+    """A search hint of the wrong size or field, singular under ``invertible_only``, or no realization."""
 
     code = "invalid_hint"
     exit_code = 2

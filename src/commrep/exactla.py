@@ -11,14 +11,15 @@ the matrices this package computes with: the sharp witness in dimension n+1
 has O(n) nonzeros, not (n+1)^2.  Sums, products and transposes do Python
 work on nonzero entries only; dense row-major views are built on request.
 
-Hot loops over Q run on integers, not on ``Fraction`` scalars: a block of
-rationals is multiplied by the lcm of its denominators (``_integer_rows``,
-``_integer_nonzero_rows``), the loop adds and multiplies plain ints, and a
-fraction is formed once per result entry.  Products do this per factor,
-elimination per row, and ``certificate`` uses the same helpers for its Gram
-matrix and grid descent.  Products and commutators share one integer pass,
-``_products``: a commutator [a, b] accumulates ab - ba row by row, over the
-one denominator both products share.
+The stored entries are integers over one positive denominator ``den``:
+over F_p residues in [0, p) with ``den`` = 1, and over Q integer numerators
+over the lcm of the entries' denominators, with no factor common to ``den``
+and every numerator.  So every kernel (products, elimination, and in
+``commgraph`` and ``certificate`` the commutation check and the grid
+descent) runs on the stored ints, and a ``Fraction`` is formed only by the
+dense views and for vectors.  Products and commutators share one integer
+pass, ``_products``: a commutator [a, b] accumulates ab - ba row by row,
+over the one denominator both products share.
 
 Indices in the public API are 1-based, matching the usual E_{i,j} notation
 for elementary matrices; storage is 0-based internally.
@@ -168,13 +169,11 @@ def _integer_rows(rows) -> tuple:
     return [[x.numerator * (m // x.denominator) for x in row] for row in rows], m
 
 
-def _integer_nonzero_rows(nonzero_rows) -> tuple:
-    """(rows, m): rational nonzero rows times m, the lcm of all their denominators.
-
-    The scaled rows hold the same (column, value) pairs with integer values.
-    """
-    m = math.lcm(*(x.denominator for row in nonzero_rows for _, x in row))
-    return [[(j, x.numerator * (m // x.denominator)) for j, x in row] for row in nonzero_rows], m
+def _scaled(nonzero_rows: tuple, s: int) -> tuple:
+    """Nonzero rows with every value times ``s``."""
+    if s == 1:
+        return nonzero_rows
+    return tuple(tuple((j, s * x) for j, x in row) for row in nonzero_rows)
 
 
 def _sorted_row(acc: dict, p: Optional[int]) -> tuple:
@@ -191,12 +190,14 @@ class Matrix:
     """Matrix with value semantics; entries share the matrix's field.
 
     Only the nonzero entries are stored: for each row, the (column, value)
-    pairs in increasing column order, with 0-based columns.  That form is
-    canonical, so equality and hashing compare matrices by value, and
-    arithmetic on structured matrices costs O(nonzeros) Python work rather
-    than O(rows * cols).  The dense views ``entries``, ``row_values`` and
-    ``rows_list`` are rebuilt on every call.  The fields ``field``, ``rows``,
-    ``cols`` and ``nonzero_rows`` cannot be assigned.
+    pairs in increasing column order, with 0-based columns, where each value
+    is an integer and the entry is value / ``den``.  Over F_p the values are
+    residues and ``den`` is 1; over Q ``den`` is the lcm of the entries'
+    denominators, so no factor is common to it and every value.  That form
+    is canonical, so equality and hashing compare matrices by value.  The
+    dense views ``entries``, ``row_values`` and ``rows_list`` hold field
+    scalars and are rebuilt on every call.  The fields ``field``, ``rows``,
+    ``cols``, ``nonzero_rows`` and ``den`` cannot be assigned.
     """
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries: Sequence[ScalarValue]):
@@ -206,26 +207,37 @@ class Matrix:
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
         nonzero = tuple(_nonzero_row(entries[i * cols : (i + 1) * cols]) for i in range(rows))
-        self.__dict__.update(field=field, rows=rows, cols=cols, nonzero_rows=nonzero)
+        den = 1
+        if field.is_rationals:
+            # an entry with the most factors q of den has a numerator prime to q, so nothing divides out
+            den = math.lcm(*(x.denominator for row in nonzero for _, x in row))
+            nonzero = tuple(tuple((j, x.numerator * (den // x.denominator)) for j, x in r) for r in nonzero)
+        self.__dict__.update(field=field, rows=rows, cols=cols, nonzero_rows=nonzero, den=den)
 
     @classmethod
-    def _sparse(cls, field: FieldSpec, rows: int, cols: int, nonzero_rows: tuple) -> "Matrix":
+    def _sparse(cls, field: FieldSpec, rows: int, cols: int, nonzero_rows: tuple, den: int = 1) -> "Matrix":
+        """Matrix from integer nonzero rows over ``den``, dividing out any factor common to all of them."""
+        if den != 1:
+            g = math.gcd(den, *(x for row in nonzero_rows for _, x in row))
+            if g != 1:
+                den //= g
+                nonzero_rows = tuple(tuple((j, x // g) for j, x in row) for row in nonzero_rows)
         m = cls.__new__(cls)
-        m.__dict__.update(field=field, rows=rows, cols=cols, nonzero_rows=nonzero_rows)
+        m.__dict__.update(field=field, rows=rows, cols=cols, nonzero_rows=nonzero_rows, den=den)
         return m
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.field, self.rows, self.cols, self.nonzero_rows) == (
-            other.field, other.rows, other.cols, other.nonzero_rows)
+        return (self.field, self.rows, self.cols, self.den, self.nonzero_rows) == (
+            other.field, other.rows, other.cols, other.den, other.nonzero_rows)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.nonzero_rows))
+        return hash((self.field, self.rows, self.cols, self.den, self.nonzero_rows))
 
     def __repr__(self):
         return (f"Matrix(field={self.field!r}, rows={self.rows!r}, cols={self.cols!r}, "
-                f"nonzero_rows={self.nonzero_rows!r})")
+                f"nonzero_rows={self.nonzero_rows!r}, den={self.den!r})")
 
     __setattr__ = __delattr__ = _read_only
 
@@ -235,28 +247,30 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def _dense_row(self, row: tuple) -> list:
+        """A stored row as field scalars, zeros included."""
+        out = [self.field.zero()] * self.cols
+        den = None if self.field.is_prime_field else self.den
+        for j, x in row:
+            out[j] = x if den is None else Fraction(x, den)
+        return out
+
     @property
     def entries(self) -> tuple:
         """Row-major tuple of every entry, zeros included."""
-        c = self.cols
-        out = [self.field.zero()] * (self.rows * c)
-        for i, row in enumerate(self.nonzero_rows):
-            base = i * c
-            for j, x in row:
-                out[base + j] = x
+        out = []
+        for row in self.nonzero_rows:
+            out += self._dense_row(row)
         return tuple(out)
 
     def row_values(self, i: int) -> tuple:
         """1-based row as a tuple."""
         if not 1 <= i <= self.rows:
             raise IndexError(f"row {i} outside 1..{self.rows}")
-        out = [self.field.zero()] * self.cols
-        for j, x in self.nonzero_rows[i - 1]:
-            out[j] = x
-        return tuple(out)
+        return tuple(self._dense_row(self.nonzero_rows[i - 1]))
 
     def rows_list(self) -> list:
-        return [list(self.row_values(i)) for i in range(1, self.rows + 1)]
+        return [self._dense_row(row) for row in self.nonzero_rows]
 
     def is_zero(self) -> bool:
         return not any(self.nonzero_rows)
@@ -272,8 +286,12 @@ class Matrix:
     def _combine(self, other: "Matrix", sub: bool) -> "Matrix":
         self._check_same_shape(other)
         p = self.field.characteristic
+        arows, brows, den = self.nonzero_rows, other.nonzero_rows, self.den
+        if other.den != den:  # over Q only: bring both over the lcm of the denominators
+            den = math.lcm(self.den, other.den)
+            arows, brows = _scaled(arows, den // self.den), _scaled(brows, den // other.den)
         out = []
-        for arow, brow in zip(self.nonzero_rows, other.nonzero_rows):
+        for arow, brow in zip(arows, brows):
             if not brow:
                 out.append(arow)
                 continue
@@ -282,7 +300,7 @@ class Matrix:
                 a = acc.get(j, 0)
                 acc[j] = a - b if sub else a + b
             out.append(_sorted_row(acc, p))
-        return Matrix._sparse(self.field, self.rows, self.cols, tuple(out))
+        return Matrix._sparse(self.field, self.rows, self.cols, tuple(out), den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, sub=False)
@@ -301,9 +319,9 @@ class Matrix:
         p = f.characteristic
         # c is a unit, so every product stays nonzero
         if p is None:
-            out = tuple(tuple((j, x * c) for j, x in row) for row in self.nonzero_rows)
-        else:
-            out = tuple(tuple((j, x * c % p) for j, x in row) for row in self.nonzero_rows)
+            out = _scaled(self.nonzero_rows, c.numerator)
+            return Matrix._sparse(f, self.rows, self.cols, out, self.den * c.denominator)
+        out = tuple(tuple((j, x * c % p) for j, x in row) for row in self.nonzero_rows)
         return Matrix._sparse(f, self.rows, self.cols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -319,47 +337,25 @@ class Matrix:
         for i, row in enumerate(self.nonzero_rows):
             for j, x in row:
                 buckets[j].append((i, x))
-        return Matrix._sparse(self.field, self.cols, self.rows, tuple(tuple(b) for b in buckets))
+        return Matrix._sparse(self.field, self.cols, self.rows, tuple(tuple(b) for b in buckets), self.den)
 
     def apply(self, vec: Sequence[ScalarValue]) -> tuple:
         """Matrix-vector product A v, with v a length-``cols`` tuple.
 
-        Over Q the matrix and the vector are scaled to integers by the lcms of
-        their denominators, d and e; each row sum accumulates as an integer
-        and a nonzero one becomes the one fraction sum / (d e).
+        Over Q the vector is scaled to integers by the lcm e of its
+        denominators; each row sum accumulates as an integer and a nonzero
+        one becomes the one fraction sum / (den e).
         """
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         p = self.field.characteristic
-        rows = self.nonzero_rows
         if p is None:
-            rows, d = _integer_nonzero_rows(rows)
             (vec,), e = _integer_rows([vec])
-            den = d * e
-        out = []
-        for row in rows:
-            s = sum(x * vec[j] for j, x in row)
-            if p is not None:
-                out.append(s % p)
-            else:
-                out.append(Fraction(s, den) if s else _Q_ZERO)
-        return tuple(out)
-
-    def apply_left(self, vec: Sequence[ScalarValue]) -> tuple:
-        """Row-vector product v^T A, with v a length-``rows`` tuple."""
-        if len(vec) != self.rows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        p = f.characteristic
-        acc = [f.zero()] * self.cols
-        for a, row in zip(vec, self.nonzero_rows):
-            if not a:
-                continue
-            for j, b in row:
-                acc[j] = acc[j] + a * b
+        sums = [sum(x * vec[j] for j, x in row) for row in self.nonzero_rows]
         if p is not None:
-            return tuple(e % p for e in acc)
-        return tuple(acc)
+            return tuple(s % p for s in sums)
+        den = self.den * e
+        return tuple(Fraction(s, den) if s else _Q_ZERO for s in sums)
 
 
 # -- constructors ----------------------------------------------------------
@@ -385,8 +381,7 @@ def zeros(rows: int, cols: int, field: FieldSpec) -> Matrix:
 def identity(r: int, field: FieldSpec) -> Matrix:
     if r < 1:
         raise ValueError("dimension must be positive")
-    one = field.one()
-    return Matrix._sparse(field, r, r, tuple(((i, one),) for i in range(r)))
+    return Matrix._sparse(field, r, r, tuple(((i, 1),) for i in range(r)))
 
 
 def elementary_matrix(r: int, i: int, j: int, field: FieldSpec) -> Matrix:
@@ -395,8 +390,7 @@ def elementary_matrix(r: int, i: int, j: int, field: FieldSpec) -> Matrix:
         raise ValueError("dimension must be positive")
     if not (1 <= i <= r and 1 <= j <= r):
         raise IndexError(f"({i},{j}) outside 1..{r}")
-    one = field.one()
-    return Matrix._sparse(field, r, r, tuple(((j - 1, one),) if k == i - 1 else () for k in range(r)))
+    return Matrix._sparse(field, r, r, tuple(((j - 1, 1),) if k == i - 1 else () for k in range(r)))
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
@@ -408,12 +402,13 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
             raise ValueError("field mismatch")
         if not b.is_square:
             raise ValueError("blocks must be square")
+    den = math.lcm(*(b.den for b in blocks))
     out = []
     off = 0
     for b in blocks:
-        out.extend(tuple((off + j, x) for j, x in row) for row in b.nonzero_rows)
+        out.extend(tuple((off + j, x) for j, x in row) for row in _scaled(b.nonzero_rows, den // b.den))
         off += b.rows
-    return Matrix._sparse(field, off, off, tuple(out))
+    return Matrix._sparse(field, off, off, tuple(out), den)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -426,20 +421,14 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _products(a: Matrix, b: Matrix, commute: bool) -> Matrix:
-    """ab, or ab - ba when ``commute``, in one pass over the nonzero entries.
+    """ab, or ab - ba when ``commute``, in one pass over the stored integers.
 
-    Over Q each factor is scaled to integers by the lcm of its denominators,
-    da and db; row i accumulates the integers a_ik b_kj (less b_ik a_kj when
-    commuting) in one dict, and each nonzero entry becomes one fraction
-    acc / (da db), the denominator both products share.  Over F_p the
-    residues accumulate and each output entry is reduced mod p once.
+    Row i accumulates the integers a_ik b_kj (less b_ik a_kj when commuting)
+    in one dict, over the denominator both products share, the product of
+    the factors' ``den``.  Over F_p each output entry is reduced mod p once.
     """
     p = a.field.characteristic
     arows, brows = a.nonzero_rows, b.nonzero_rows
-    if p is None:
-        arows, da = _integer_nonzero_rows(arows)
-        brows, db = _integer_nonzero_rows(brows)
-        den = da * db
     out = []
     for i, arow in enumerate(arows):
         acc = {}
@@ -456,24 +445,11 @@ def _products(a: Matrix, b: Matrix, commute: bool) -> Matrix:
                         acc[j] -= y * x
                     else:
                         acc[j] = -y * x
-        if p is None:
-            out.append(tuple((j, Fraction(acc[j], den)) for j in sorted(acc) if acc[j]))
-        else:
-            out.append(_sorted_row(acc, p))
-    return Matrix._sparse(a.field, a.rows, b.cols, tuple(out))
+        out.append(_sorted_row(acc, p))
+    return Matrix._sparse(a.field, a.rows, b.cols, tuple(out), a.den * b.den)
 
 
 # -- elimination -----------------------------------------------------------
-
-
-def _integer_row(row: Sequence[ScalarValue], field: FieldSpec) -> list:
-    """The row as integers; over Q scaled by its denominator lcm.
-
-    Row scaling by positive constants preserves rank and null space.
-    """
-    if field.is_rationals:
-        return _integer_rows((row,))[0][0]
-    return list(row)
 
 
 def _insert_row(basis: list, pivots: list, row: Sequence[int], p: Optional[int]):
@@ -538,9 +514,17 @@ def _reduced_form(rows: Sequence[list], width: int, p: Optional[int]) -> tuple:
     return basis, pivots
 
 
+def _integer_dense_rows(a: Matrix):
+    """The stored integer rows of ``a``, zeros included: den A, with the rank and null space of A."""
+    for row in a.nonzero_rows:
+        v = [0] * a.cols
+        for j, x in row:
+            v[j] = x
+        yield v
+
+
 def _matrix_reduced_form(a: Matrix) -> tuple:
-    rows = (_integer_row(a.row_values(i + 1), a.field) for i in range(a.rows))
-    return _reduced_form(rows, a.cols, a.field.characteristic)
+    return _reduced_form(_integer_dense_rows(a), a.cols, a.field.characteristic)
 
 
 def rank(a: Matrix) -> int:
@@ -580,7 +564,8 @@ def span_rank(vectors: Sequence[Sequence[ScalarValue]], field: FieldSpec) -> int
     for vec in vectors:
         if len(vec) != width:
             raise ValueError("ragged rows")
-        rows.append(_integer_row([field.scalar(x) for x in vec], field))
+        row = [field.scalar(x) for x in vec]
+        rows.append(_integer_rows([row])[0][0] if field.is_rationals else row)
     if not width:
         raise ValueError("matrix dimensions must be positive")
     return len(_reduced_form(rows, width, field.characteristic)[1])
@@ -591,27 +576,21 @@ def is_invertible(a: Matrix) -> bool:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Inverse of a square matrix: the right half of the reduced form of [A | I]."""
+    """Inverse of a square matrix: the right half of the reduced form of den [A | I]."""
     if not a.is_square:
         raise ValueError("inverse of a non-square matrix")
     field = a.field
-    n = a.rows
-    zero, one = field.zero(), field.one()
-    rows = (
-        _integer_row(a.row_values(i + 1) + tuple(one if j == i else zero for j in range(n)), field)
-        for i in range(n)
-    )
+    n, den = a.rows, a.den
+    rows = (v + [den if j == i else 0 for j in range(n)] for i, v in enumerate(_integer_dense_rows(a)))
     basis, pivots = _reduced_form(rows, 2 * n, field.characteristic)
     if pivots[-1] >= n:  # [A | I] has rank n, so a pivot right of A means A is singular
         raise ValueError("matrix is not invertible")
-    if field.is_rationals:
-        out = tuple(
-            tuple((j, Fraction(x, row[i])) for j, x in enumerate(row[n:]) if x)
-            for i, row in enumerate(basis)
-        )
-    else:
-        out = tuple(_nonzero_row(row[n:]) for row in basis)
-    return Matrix._sparse(field, n, n, out)
+    if field.is_prime_field:  # every pivot is 1
+        return Matrix._sparse(field, n, n, tuple(_nonzero_row(row[n:]) for row in basis))
+    # row i has its pivot row[i] in column i, so row i of the inverse is row[n:] / row[i]
+    den = math.lcm(*(row[i] for i, row in enumerate(basis)))
+    out = tuple(_nonzero_row([x * (den // row[i]) for x in row[n:]]) for i, row in enumerate(basis))
+    return Matrix._sparse(field, n, n, out, den)
 
 
 # -- JSON interchange -------------------------------------------------------

@@ -31,6 +31,7 @@ from .exactla import (
     FieldSpec,
     Matrix,
     _reduced_form,
+    is_invertible,
     kernel_basis,
     matrix_from_rows,
 )
@@ -258,6 +259,10 @@ def min_realization_dim(
             raise InvalidHintError(
                 f"hint field {hint.field.name()} does not match search field {field.name()}"
             )
+        if mode == MODE_INVERTIBLE:
+            singular = next((k for k, m in enumerate(hint.matrices, 1) if not is_invertible(m)), None)
+            if singular is not None:
+                raise InvalidHintError(f"hint matrix {singular} is singular; {mode} needs invertible matrices")
         check = realizes(hint, graph)
         if not check.ok:
             first = check.violations[0]

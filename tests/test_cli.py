@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from commrep.cli import WITNESS_N_CAP
 from commrep.modsplit import DIM_CAP
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -166,6 +167,17 @@ def test_search_invalid_hint_exits_two(workdir):
     res = run_cli("search", "--graph", graph, "--field", "Fp:2", "--rmax", "2", "--hint", hint)
     assert res.returncode == 2
     assert payload(res)["error"]["code"] == "invalid_hint"
+
+
+def test_search_invertible_only_refuses_a_singular_hint(workdir):
+    witness = payload(run_cli("witness", "--n", "2", "--lambda", "1", "--field", "Fp:2"))
+    hint = _write(workdir, "w2f2.json", witness)
+    graph = _write(workdir, "m2.json", {"vertices": 4, "edges": [[1, 3], [2, 4]]})
+    res = run_cli("search", "--graph", graph, "--field", "Fp:2", "--rmax", "4", "--mode", "invertible_only",
+                  "--budget", "10000000", "--hint", hint)
+    assert res.returncode == 2
+    assert payload(res)["error"] == {
+        "code": "invalid_hint", "message": "hint matrix 3 is singular; invertible_only needs invertible matrices"}
 
 
 @pytest.mark.parametrize(
@@ -426,6 +438,16 @@ def test_witness_call_loads_no_certificate_search_or_modsplit():
     )
     assert "commrep.witness" in loaded
     assert not loaded & {"commrep.certificate", "commrep.search", "commrep.modsplit"}
+
+
+def test_witness_above_the_cap_is_refused_before_loading_graph_code():
+    argv = ["witness", "--n", str(WITNESS_N_CAP + 1), "--lambda", "2", "--field", "Q"]
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    error = payload(res)["error"]
+    assert error == {"code": "guard_violation", "message": f"--n {WITNESS_N_CAP + 1} exceeds the cap {WITNESS_N_CAP}"}
+    loaded = _commrep_modules_after("from commrep.cli import main", f"assert main({argv!r}) == 2")
+    assert not loaded & {"commrep.commgraph", "commrep.witness"}
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,13 @@ The reference keeps a matrix as a list of rows of canonical scalars and
 computes each operation from its definition, entry by entry.  Inputs cover
 Q with small and big fractions and GF(2), GF(5), GF(101), in rectangular
 shapes with many zero entries.  Each result must match the reference in its
-stored nonzero rows, in every dense view, and in equality and hashing with
-the matrix the public constructor builds from the reference's entries.
+stored nonzero rows, integers over one denominator in lowest terms, in every
+dense view, and in equality and hashing with the matrix the public
+constructor builds from the reference's entries.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -64,10 +66,17 @@ def build(field, rows):
 
 
 def assert_matches(m, field, rows):
-    """``m`` holds exactly the dense reference ``rows``, in every view."""
+    """``m`` holds exactly the dense reference ``rows``, in every view, as integers over one denominator."""
     r, c = len(rows), len(rows[0])
     assert (m.field, m.rows, m.cols) == (field, r, c)
-    assert m.nonzero_rows == tuple(
+    values = [x for row in m.nonzero_rows for _, x in row]
+    assert type(m.den) is int and m.den >= 1
+    assert all(type(x) is int for x in values)
+    if field.is_rationals:
+        assert math.gcd(m.den, *values) == 1
+    else:
+        assert m.den == 1
+    assert tuple(tuple((j, Fraction(x, m.den)) for j, x in row) for row in m.nonzero_rows) == tuple(
         tuple((j, x) for j, x in enumerate(row) if x) for row in rows
     )
     flat = tuple(x for row in rows for x in row)
@@ -163,7 +172,7 @@ def test_vector_products(data):
     left = tuple(data.draw(values) for _ in range(r))
     a = build(field, rows)
     assert a.apply(right) == tuple(ref_matmul(field, rows, [[x] for x in right])[i][0] for i in range(r))
-    assert a.apply_left(left) == tuple(ref_matmul(field, [list(left)], rows)[0])
+    assert a.transpose().apply(left) == tuple(ref_matmul(field, [list(left)], rows)[0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -158,6 +158,19 @@ def test_invalid_hint_rejected():
         min_realization_dim(matching_graph(2), GF(2), r_max=2, hint=wrong_field)
 
 
+def test_invertible_only_refuses_a_singular_hint():
+    # b_i = I - E_{i+1,i+1} is singular over F_2, and the least invertible realization needs dimension 4
+    hint, graph = sharp_witness(2, 1, GF(2)), matching_graph(2)
+    with pytest.raises(InvalidHintError, match="^hint matrix 3 is singular; invertible_only needs invertible"):
+        min_realization_dim(graph, GF(2), r_max=4, mode=MODE_INVERTIBLE, budget=10**7, hint=hint)
+    report = min_realization_dim(graph, GF(2), r_max=4, mode=MODE_INVERTIBLE, budget=10**7)
+    assert (report.status, report.upper) == (STATUS_EXACT, 4)
+    # the same hint still bounds mode all, and an invertible hint bounds invertible_only
+    assert min_realization_dim(graph, GF(2), r_max=4, hint=hint).upper == 3
+    report = min_realization_dim(graph, GF(3), r_max=4, mode=MODE_INVERTIBLE, hint=sharp_witness(2, 2, GF(3)))
+    assert (report.status, report.upper) == (STATUS_EXACT, 3)
+
+
 def test_invertible_only_mode():
     out = exists_realization(matching_graph(1), GF(3), 2, mode="invertible_only")
     assert out.status == FOUND

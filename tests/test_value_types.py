@@ -9,7 +9,7 @@ import pytest
 
 from commrep.certificate import VerificationResult
 from commrep.commgraph import Assignment, CommGraph, PairStatus, RealizationCheck
-from commrep.exactla import GF, FieldSpec, Matrix, matrix_from_rows
+from commrep.exactla import GF, QQ, FieldSpec, Matrix, matrix_from_rows
 from commrep.modsplit import CompositionReport, CountCheck, ModuleSpec
 from commrep.search import ExistsOutcome, SearchReport
 
@@ -100,6 +100,17 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
     with pytest.raises(AttributeError):
         delattr(value, field)
     assert value == cls(*args())
+
+
+@pytest.mark.parametrize("name", ["field", "rows", "cols", "nonzero_rows", "den"])
+def test_matrix_fields_cannot_be_assigned_or_deleted(name):
+    value = matrix_from_rows(QQ, [["1/2", 1], [0, 3]])
+    current = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, current)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert value == matrix_from_rows(QQ, [["1/2", 1], [0, 3]])
 
 
 def test_record_defaults_and_truth():
