@@ -29,8 +29,10 @@ integer row against a reduced row-echelon basis and inserts it if it is
 independent.  Over Q the rows are cleared of denominators and kept primitive
 with a positive pivot, so no fractions arise and basis entries stay bounded
 by minors of the input; over F_p they are residues with pivot 1.  Rank, kernel,
-inverse and invertibility read their answers off that reduced form, and
-module spinning (``modsplit.spin``) grows one basis with it row by row.
+inverse and invertibility read their answers off that reduced form; one
+null-space routine, ``_null_space``, serves ``kernel_basis`` and the residue
+rows of ``modsplit``'s Norton thetas, and module spinning (``modsplit.spin``)
+grows one basis with ``_insert_row`` row by row.
 """
 
 from __future__ import annotations
@@ -523,13 +525,9 @@ def _integer_dense_rows(a: Matrix):
         yield v
 
 
-def _matrix_reduced_form(a: Matrix) -> tuple:
-    return _reduced_form(_integer_dense_rows(a), a.cols, a.field.characteristic)
-
-
 def rank(a: Matrix) -> int:
     """Exact rank over the matrix's field."""
-    return len(_matrix_reduced_form(a)[1])
+    return len(_reduced_form(_integer_dense_rows(a), a.cols, a.field.characteristic)[1])
 
 
 def kernel_basis(a: Matrix) -> list:
@@ -538,16 +536,20 @@ def kernel_basis(a: Matrix) -> list:
     One basis vector per free column, with a 1 in that coordinate and 0 in
     every other free coordinate.
     """
-    field = a.field
-    p = field.characteristic
-    basis, pivots = _matrix_reduced_form(a)
+    return _null_space(_integer_dense_rows(a), a.cols, a.field.characteristic)
+
+
+def _null_space(rows, width: int, p: Optional[int]) -> list:
+    """``kernel_basis`` of the matrix with integer rows ``rows`` (residues over F_p), as scalar tuples."""
+    basis, pivots = _reduced_form(rows, width, p)
+    zero, one = (_Q_ZERO, _Q_ONE) if p is None else (0, 1)
     pivot_set = set(pivots)
     out = []
-    for fc in range(a.cols):
+    for fc in range(width):
         if fc in pivot_set:
             continue
-        x = [field.zero()] * a.cols
-        x[fc] = field.one()
+        x = [zero] * width
+        x[fc] = one
         for row, pc in zip(basis, pivots):
             if row[fc]:
                 x[pc] = Fraction(-row[fc], row[pc]) if p is None else p - row[fc]

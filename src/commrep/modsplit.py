@@ -31,6 +31,13 @@ irreducible pieces, in order, form the flag basis.  A module above
 ``DIM_CAP`` or a split that needs more than ``SPLIT_BUDGET`` kernels and
 spins ends with ``GuardError``, never with a verdict.
 
+The MeatAxe works on residue rows: each theta is a list of dense rows, its
+kernel comes from the one elimination routine of ``exactla``, and ``spin``
+applies the generators' stored rows directly and stops once the span is the
+whole space.  ``is_triangularizable`` walks the same chain of factors but
+stops at the first factor of dimension above 1, so it can prove False on a
+module whose full series would need more than ``SPLIT_BUDGET``.
+
 Factors are computed over the base field only (a factor irreducible here
 may split over an extension) and every report carries that marker.
 
@@ -56,17 +63,17 @@ from .exactla import (
     FieldSpec,
     Matrix,
     _insert_row,
+    _integer_dense_rows,
+    _nonzero_row,
+    _null_space,
     _read_only,
     _reduced_form,
     field_from_json,
     identity,
     inverse,
     is_invertible,
-    kernel_basis,
     matrix_from_json,
-    matrix_from_rows,
     matrix_to_json,
-    zeros,
 )
 
 DIM_CAP = 32  # largest module dimension split
@@ -137,20 +144,24 @@ def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
 
     ``spec`` is a ``ModuleSpec``, or a ``_Piece`` met while splitting one.
     """
-    p = spec.field.characteristic
+    p, dim = spec.field.characteristic, spec.dim
     vec = [x % p for x in vector]
-    if len(vec) != spec.dim:
+    if len(vec) != dim:
         raise ValueError("vector length does not match the module dimension")
     if not any(vec):
         raise ValueError("seed vector must be nonzero")
+    generator_rows = [g.nonzero_rows for g in spec.generators]
     basis, pivots = [], []
     queue = [_insert_row(basis, pivots, vec, p)]
-    while queue:
+    while queue and len(pivots) < dim:
         w = queue.pop()
-        for g in spec.generators:
-            reduced = _insert_row(basis, pivots, g.apply(tuple(w)), p)
+        for rows in generator_rows:
+            image = [sum(x * w[j] for j, x in row) % p for row in rows]
+            reduced = _insert_row(basis, pivots, image, p)
             if reduced is not None:
                 queue.append(reduced)
+                if len(pivots) == dim:
+                    break  # the whole space, whose RREF basis is the identity
     return tuple(tuple(row) for row in basis)
 
 
@@ -183,16 +194,17 @@ def _words(gens: tuple):
 
 
 def _thetas(spec: ModuleSpec):
-    """theta = w - lambda*I for each distinct word w and each lambda in F_p, then theta = 0."""
-    eye = identity(spec.dim, spec.field)
+    """Residue rows of theta = w - lambda*I for each distinct word w and lambda in F_p, then of 0."""
+    d, p = spec.dim, spec.field.characteristic
     seen = set()
     for w in _words(spec.generators):
         if w in seen:  # a repeated word gives the same thetas
             continue
         seen.add(w)
-        for lam in range(spec.field.characteristic):
-            yield w - eye.scale(lam)
-    yield zeros(spec.dim, spec.dim, spec.field)
+        rows = list(_integer_dense_rows(w))
+        for lam in range(p):
+            yield [[(x - lam) % p if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    yield [[0] * d for _ in range(d)]
 
 
 def _points(kernel: list, p: int):
@@ -210,26 +222,27 @@ def _points(kernel: list, p: int):
 
 def _submodule(spec: ModuleSpec, budget: _Budget) -> Optional[Sequence]:
     """Basis rows of a proper nonzero submodule, or None when ``spec`` is irreducible."""
-    if spec.dim == 1:
+    d, p = spec.dim, spec.field.characteristic
+    if d == 1:
         return None
     for theta in _thetas(spec):  # the last theta, 0, has kernel V
         budget.charge()
-        kernel = kernel_basis(theta)
+        kernel = _null_space(theta, d, p)
         if kernel:
             break
-    for v in _points(kernel, spec.field.characteristic):
+    for v in _points(kernel, p):
         budget.charge()
         sub = spin(v, spec)
-        if len(sub) < spec.dim:
+        if len(sub) < d:
             return sub
     # so a proper submodule misses ker theta, lies in im theta, and is annihilated by
     # ker theta^T and by everything a vector of it spins to under the transposes
-    dual = _Piece(spec.field, spec.dim, tuple(g.transpose() for g in spec.generators))
+    dual = _Piece(spec.field, d, tuple(g.transpose() for g in spec.generators))
     budget.charge()
-    annihilated = spin(kernel_basis(theta.transpose())[0], dual)
-    if len(annihilated) == spec.dim:
+    annihilated = spin(_null_space(zip(*theta), d, p)[0], dual)
+    if len(annihilated) == d:
         return None
-    return kernel_basis(matrix_from_rows(spec.field, annihilated))
+    return _null_space(annihilated, d, p)
 
 
 def _diagonal_block(c: Matrix, lo: int, hi: int) -> Matrix:
@@ -239,23 +252,24 @@ def _diagonal_block(c: Matrix, lo: int, hi: int) -> Matrix:
 
 
 def _factor_chain(spec: ModuleSpec):
+    """The irreducible factors of ``spec`` in series order: (dimension, basis rows in spec's coordinates)."""
+    if spec.dim > DIM_CAP:
+        raise GuardError(f"module dimension {spec.dim} exceeds the cap {DIM_CAP}")
     field, d, p = spec.field, spec.dim, spec.field.characteristic
     budget = _Budget()
-    dims, flag_rows = [], []
     # each piece is a module and its basis vectors, as rows in the coordinates of spec
     stack = [(spec, identity(d, field))]
     while stack:
         piece, vectors = stack.pop()
         sub = _submodule(piece, budget)
         if sub is None:
-            dims.append(piece.dim)
-            flag_rows.extend(vectors.nonzero_rows)
+            yield piece.dim, vectors.nonzero_rows
             continue
         k = piece.dim
         basis, pivots = _reduced_form([list(row) for row in sub], k, p)
         w = len(basis)
         columns = basis + [[int(i == j) for i in range(k)] for j in range(k) if j not in pivots]
-        change_t = matrix_from_rows(field, columns)
+        change_t = Matrix._sparse(field, k, k, tuple(_nonzero_row(c) for c in columns))
         change = change_t.transpose()
         change_inv = inverse(change)
         conjugated = [change_inv @ g @ change for g in piece.generators]
@@ -268,15 +282,14 @@ def _factor_chain(spec: ModuleSpec):
         moved = (change_t @ vectors).nonzero_rows
         stack.append((quotient, Matrix._sparse(field, k - w, d, moved[w:])))
         stack.append((submodule, Matrix._sparse(field, w, d, moved[:w])))
-    flag = Matrix._sparse(field, d, d, tuple(flag_rows)).transpose()
-    return tuple(dims), tuple(accumulate(dims, initial=0)), flag
 
 
-def composition_factor_dims(spec: ModuleSpec) -> CompositionReport:
-    """Full composition series with an explicit flag basis, verified by conjugation."""
-    if spec.dim > DIM_CAP:
-        raise GuardError(f"module dimension {spec.dim} exceeds the cap {DIM_CAP}")
-    dims, series, flag = _factor_chain(spec)
+def _verified_report(spec: ModuleSpec, factors: list) -> CompositionReport:
+    """The report on the factors of the whole chain, its flag basis verified by conjugation."""
+    dims = tuple(dim for dim, _ in factors)
+    series = tuple(accumulate(dims, initial=0))
+    flag_rows = tuple(row for _, rows in factors for row in rows)
+    flag = Matrix._sparse(spec.field, spec.dim, spec.dim, flag_rows).transpose()
     flag_inv = inverse(flag)
     for g in spec.generators:
         c = flag_inv @ g @ flag
@@ -289,10 +302,24 @@ def composition_factor_dims(spec: ModuleSpec) -> CompositionReport:
     return CompositionReport(factor_dims=dims, series=series, flag_basis=flag)
 
 
+def composition_factor_dims(spec: ModuleSpec) -> CompositionReport:
+    """Full composition series with an explicit flag basis, verified by conjugation."""
+    return _verified_report(spec, list(_factor_chain(spec)))
+
+
 def is_triangularizable(spec: ModuleSpec) -> bool:
-    """True iff every composition factor over the base field is one-dimensional."""
-    report = composition_factor_dims(spec)
-    return all(d == 1 for d in report.factor_dims)
+    """True iff every composition factor over the base field is one-dimensional.
+
+    Stops at the first factor of dimension above 1; a True answer builds and
+    verifies the flag basis as ``composition_factor_dims`` does.
+    """
+    factors = []
+    for factor in _factor_chain(spec):
+        if factor[0] > 1:
+            return False
+        factors.append(factor)
+    _verified_report(spec, factors)
+    return True
 
 
 class CountCheck(NamedTuple):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commrep import modsplit
 from commrep.errors import GuardError
-from commrep.exactla import GF, identity, inverse, is_invertible, matrix_from_rows
+from commrep.exactla import GF, block_diagonal, identity, inverse, is_invertible, matrix_from_rows
 from commrep.modsplit import (
     DIM_CAP,
+    SPLIT_BUDGET,
     VERDICT_PRECONDITION_FAILED,
     VERDICT_SATISFIED,
     ModuleSpec,
@@ -95,16 +97,89 @@ def test_minimal_invariant_subspace_examples():
     assert composition_factor_dims(ident).factor_dims == (1, 1)
 
 
-def test_guard_refuses_large_enumeration():
+def test_guard_refuses_large_enumeration(monkeypatch):
     over_cap = ModuleSpec(F2, DIM_CAP + 1, (identity(DIM_CAP + 1, F2),))
     # x^20 + x^3 + 1 is irreducible over F_2, so its companion matrix spans a field:
     # no theta before theta = 0 has a kernel, and V has 2^20 - 1 points to spin
     field_module = ModuleSpec(F2, 20, (_companion_f2({0, 3}, 20),))
+    spins = []
+
+    def counted_spin(vector, spec):
+        spins.append(vector)
+        return spin(vector, spec)
+
+    monkeypatch.setattr(modsplit, "spin", counted_spin)
     for spec in (over_cap, field_module):
+        spins.clear()
         start = time.perf_counter()
         with pytest.raises(GuardError):
             composition_factor_dims(spec)
         assert time.perf_counter() - start < 0.5
+        assert len(spins) <= SPLIT_BUDGET  # the budget, not the host's speed, ends the split
+
+
+def test_triangularizability_refuses_over_cap_before_any_kernel(monkeypatch):
+    spec = ModuleSpec(F2, DIM_CAP + 1, (identity(DIM_CAP + 1, F2),))
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel was computed")
+
+    monkeypatch.setattr(modsplit, "_null_space", no_kernel)
+    with pytest.raises(GuardError):
+        is_triangularizable(spec)
+
+
+def test_triangularizability_stops_at_a_plane_before_a_refused_field():
+    # an F_4 plane, then the degree-20 field of the refusal above: the plane is the
+    # first factor, so the answer is proven before the field's 2^20 - 1 points are spun
+    spec = ModuleSpec(F2, 22, (block_diagonal([_companion_f2({0, 1}, 2), _companion_f2({0, 3}, 20)]),))
+    with pytest.raises(GuardError):
+        composition_factor_dims(spec)
+    assert is_triangularizable(spec) is False
+
+
+@st.composite
+def _small_modules(draw):
+    """Invertible generators over F_2 or F_3 in dimension at most 5.
+
+    Either upper triangular ones conjugated by one change of basis, so the
+    module is triangularizable, or products P L U of a permutation and
+    random unitriangular and invertible triangular matrices.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 5))
+    field = GF(p)
+    residue, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+
+    def triangular(diagonal, upper):
+        return matrix_from_rows(
+            field,
+            [[draw(diagonal) if i == j else draw(residue) if (j > i) == upper else 0 for j in range(d)]
+             for i in range(d)],
+        )
+
+    def invertible():
+        perm = draw(st.permutations(range(d)))
+        p_matrix = matrix_from_rows(field, [[int(j == perm[i]) for j in range(d)] for i in range(d)])
+        return p_matrix @ triangular(st.just(1), False) @ triangular(unit, True)
+
+    count = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        change = invertible()
+        gens = tuple(inverse(change) @ triangular(unit, True) @ change for _ in range(count))
+    else:
+        gens = tuple(invertible() for _ in range(count))
+    return ModuleSpec(field, d, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_modules())
+def test_triangularizable_iff_every_factor_is_a_line(spec):
+    try:
+        report = composition_factor_dims(spec)
+    except GuardError:
+        return  # no full series to compare with
+    assert is_triangularizable(spec) == all(d == 1 for d in report.factor_dims)
 
 
 def test_composition_factors_s3():
