@@ -26,8 +26,8 @@ and small fields are refused instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -37,13 +37,15 @@ from .exactla import (
     FieldSpec,
     Matrix,
     _integer_rows,
+    _json_rows,
+    _nonzero_row,
+    _reduced_form,
+    _row_sums,
     commutator,
-    dot,
     field_from_json,
     rank,
     scalar_to_json,
     scalars_from_json,
-    span_rank,
 )
 
 # reason codes emitted by verify_certificate
@@ -191,38 +193,65 @@ def _split_pairs(pairs) -> tuple:
     return a_list, b_list
 
 
-def _gram_entries(basis, v, alpha, field):
-    """(rows, xv): the Gram rows alpha([x_i, x_j] v) and the images x_i v.
+def _integer_vector(vec: Sequence, p) -> tuple:
+    """(ints, e): a vector of field scalars as integers over one scale e.
 
-    alpha([x, y] v) = (alpha^T x) . (y v) - (alpha^T y) . (x v), so with
-    P[i][j] = (alpha^T x_i) . (x_j v) the Gram matrix is P - P^T; alpha^T x_i
-    is the product of the 1 x r matrix alpha^T with x_i.  Over Q the
-    vectors alpha^T x_i and x_j v are scaled to integers by the lcms d and e
-    of their denominators, P is one integer product, and each entry above the
-    diagonal is the one fraction (P[i][j] - P[j][i]) / (d e); over F_p, P is
-    reduced mod p.  The form is alternating as an identity, so each entry
-    below the diagonal is the negated entry above it and the diagonal is zero.
+    Over Q e is the lcm of the denominators and ints is e times the vector;
+    over F_p ints are the residues and e is 1.
     """
-    xv = [m.apply(v) for m in basis]
-    alpha_t = _canonical_matrix([alpha], field)
-    ax = [(alpha_t @ m).row_values(1) for m in basis]
+    if p is not None:
+        return [x % p for x in vec], 1
+    (ints,), e = _integer_rows([vec])
+    return ints, e
+
+
+def _pairing(alpha_int, w, p) -> int:
+    """alpha_int . w, reduced mod p over F_p: zero exactly when the form vanishes on w."""
+    s = sum(map(mul, alpha_int, w))
+    return s if p is None else s % p
+
+
+def _gram_entries(basis, v_int, alpha_int, scale, field):
+    """(gram, images): the Gram matrix alpha([x_i, x_j] v) and the integer images R_i.
+
+    ``v_int`` and ``alpha_int`` are v and alpha times integers e and f, and
+    ``scale`` is e f; over F_p they are the residues and every scale is 1.
+    With X_i = den_i x_i the stored integers of x_i, the images are
+    R_i = X_i v_int = den_i e x_i v and the forms are
+    L_i = alpha_int^T X_i = den_i f alpha^T x_i, each read off the stored rows;
+    over F_p each R_i is reduced mod p.  alpha([x, y] v) is
+    (alpha^T x) . (y v) - (alpha^T y) . (x v), so entry (i, j) is
+    (L_i . R_j - L_j . R_i) / (e f den_i den_j), and the Gram matrix is built
+    from those integers over one common denominator, reduced mod p over F_p.
+    The form is alternating as an identity, so each entry below the diagonal
+    is the negated entry above it and the diagonal is zero.
+    """
     p = field.characteristic
-    if p is None:
-        left, d = _integer_rows(ax)
-        right, e = _integer_rows(xv)
-        den = d * e
-    else:
-        left, right = ax, xv
-    prod = [[sum(map(mul, a, b)) for b in right] for a in left]
+    images = [_row_sums(m.nonzero_rows, v_int, p) for m in basis]
+    forms = []
+    for m in basis:
+        left = [0] * m.cols
+        for a, row in zip(alpha_int, m.nonzero_rows):
+            if a:
+                for j, x in row:
+                    left[j] += a * x
+        forms.append(_nonzero_row(left))
+    # cols[j][i] = L_i . R_j: the forms taken as the rows of one matrix, applied to R_j
+    cols = [_row_sums(forms, image, None) for image in images]
+    # entry (i, j) over den = e f lcm(den_i)^2 is the integer g (lcm / den_i) (lcm / den_j)
+    lcm = math.lcm(*(m.den for m in basis))
+    spread = [lcm // m.den for m in basis]
     size = len(basis)
-    rows = [[field.zero()] * size for _ in range(size)]
+    rows = [[] for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            g = prod[i][j] - prod[j][i]
+            g = cols[j][i] - cols[i][j]
+            g = g * spread[i] * spread[j] if p is None else g % p
             if g:
-                rows[i][j] = Fraction(g, den) if p is None else g % p
-                rows[j][i] = -rows[i][j] if p is None else -g % p
-    return rows, xv
+                rows[i].append((j, g))
+                rows[j].append((i, -g if p is None else p - g))
+    gram = Matrix._sparse(field, size, size, tuple(map(tuple, rows)), scale * lcm * lcm)
+    return gram, images
 
 
 def build_certificate(pairs: Sequence) -> LowerBoundCertificate:
@@ -253,13 +282,16 @@ def build_certificate(pairs: Sequence) -> LowerBoundCertificate:
 
     z = tuple(commutator(a, b) for a, b in zip(a_list, b_list))
     v = find_avoiding_vector(list(z), r, field)
-    dual = [_canonical_matrix([v], field)] + [_canonical_matrix([zi.apply(v)], field) for zi in z]
-    alpha = find_avoiding_vector(dual, r, field)
+    p = field.characteristic
+    v_int, e = _integer_vector(v, p)
+    # alpha must not vanish on v or on any z_i v; scaled rows vanish on the same forms
+    dual = [v_int] + [_row_sums(zi.nonzero_rows, v_int, p) for zi in z]
+    alpha = find_avoiding_vector([Matrix._sparse(field, 1, r, (_nonzero_row(w),)) for w in dual], r, field)
+    alpha_int, f = _integer_vector(alpha, p)
 
-    basis = a_list + b_list
-    gram_rows, xv = _gram_entries(basis, v, alpha, field)
-    gram = _canonical_matrix(gram_rows, field)
-    image_rank = span_rank([v] + xv, field)
+    gram, images = _gram_entries(a_list + b_list, v_int, alpha_int, e * f, field)
+    # v_int and each R_i are v and x_i v times nonzero integers, so they span the same space
+    image_rank = len(_reduced_form([v_int] + images, r, p)[1])
 
     cert = LowerBoundCertificate(
         field=field,
@@ -309,17 +341,18 @@ def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> Verifica
     if cert.z is not None and (len(cert.z) != n or any(s != zi for s, zi in zip(cert.z, z))):
         reasons.append(REASON_Z_MISMATCH)
 
-    zv = [zi.apply(cert.v) for zi in z]
+    p = field.characteristic
+    v_int, e = _integer_vector(cert.v, p)
+    alpha_int, f = _integer_vector(cert.alpha, p)
+    zv = [_row_sums(zi.nonzero_rows, v_int, p) for zi in z]
     if any(not any(w) for w in zv):
         reasons.append(REASON_ZV_ZERO)
-    if not dot(cert.alpha, cert.v, field):
+    if not _pairing(alpha_int, v_int, p):
         reasons.append(REASON_ALPHA_V_ZERO)
-    if any(not dot(cert.alpha, w, field) for w in zv):
+    if any(not _pairing(alpha_int, w, p) for w in zv):
         reasons.append(REASON_ALPHA_ZV_ZERO)
 
-    basis = a_list + b_list
-    gram_rows, xv = _gram_entries(basis, cert.v, cert.alpha, field)
-    expected_gram = _canonical_matrix(gram_rows, field)
+    expected_gram, images = _gram_entries(a_list + b_list, v_int, alpha_int, e * f, field)
     if cert.gram.rows != 2 * n or cert.gram.cols != 2 * n or cert.gram.field != field:
         reasons.append(REASON_GRAM_MISMATCH)
     else:
@@ -335,7 +368,7 @@ def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> Verifica
         if rank(cert.gram) != 2 * n:
             reasons.append(REASON_GRAM_RANK)
 
-    image_rank = span_rank([cert.v] + xv, field)
+    image_rank = len(_reduced_form([v_int] + images, r, p)[1])
     if cert.image_rank != image_rank:
         reasons.append(REASON_IMAGE_RANK_MISMATCH)
     if image_rank < n + 1:
@@ -363,7 +396,7 @@ def certificate_to_json(cert: LowerBoundCertificate) -> dict:
         "r": cert.r,
         "v": [scalar_to_json(x, f) for x in cert.v],
         "alpha": [scalar_to_json(x, f) for x in cert.alpha],
-        "gram": [[scalar_to_json(x, f) for x in row] for row in cert.gram.rows_list()],
+        "gram": _json_rows(cert.gram),
         "image_rank": cert.image_rank,
         "bound": cert.concluded_bound,
     }

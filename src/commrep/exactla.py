@@ -15,11 +15,13 @@ The stored entries are integers over one positive denominator ``den``:
 over F_p residues in [0, p) with ``den`` = 1, and over Q integer numerators
 over the lcm of the entries' denominators, with no factor common to ``den``
 and every numerator.  So every kernel (products, elimination, and in
-``commgraph`` and ``certificate`` the commutation check and the grid
-descent) runs on the stored ints, and a ``Fraction`` is formed only by the
-dense views and for vectors.  Products and commutators share one integer
-pass, ``_products``: a commutator [a, b] accumulates ab - ba row by row,
-over the one denominator both products share.
+``commgraph`` and ``certificate`` the commutation check, the grid descent,
+the certificate's vectors and its Gram matrix) runs on the stored ints, and
+the JSON writers write each entry from its stored int and ``den``.  A
+``Fraction`` is formed only where a field scalar is returned: by the dense
+views, ``Matrix.apply``, ``kernel_basis`` and scalar coercion.  Products and
+commutators share one integer pass, ``_products``: a commutator [a, b]
+accumulates ab - ba row by row, over the one denominator both products share.
 
 Indices in the public API are 1-based, matching the usual E_{i,j} notation
 for elementary matrices; storage is 0-based internally.
@@ -169,6 +171,17 @@ def _integer_rows(rows) -> tuple:
     """(rows, m): rational rows times m, the lcm of all their denominators."""
     m = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (m // x.denominator) for x in row] for row in rows], m
+
+
+def _row_sums(nonzero_rows: tuple, vec: Sequence[int], p: Optional[int]) -> list:
+    """The products of stored integer rows with an integer vector, reduced mod p over F_p."""
+    sums = []
+    for row in nonzero_rows:
+        s = 0
+        for j, x in row:
+            s += x * vec[j]
+        sums.append(s if p is None else s % p)
+    return sums
 
 
 def _scaled(nonzero_rows: tuple, s: int) -> tuple:
@@ -353,9 +366,9 @@ class Matrix:
         p = self.field.characteristic
         if p is None:
             (vec,), e = _integer_rows([vec])
-        sums = [sum(x * vec[j] for j, x in row) for row in self.nonzero_rows]
+        sums = _row_sums(self.nonzero_rows, vec, p)
         if p is not None:
-            return tuple(s % p for s in sums)
+            return tuple(sums)
         den = self.den * e
         return tuple(Fraction(s, den) if s else _Q_ZERO for s in sums)
 
@@ -629,12 +642,34 @@ def scalar_from_json(obj, field: FieldSpec, path: str = "scalar") -> ScalarValue
     return val
 
 
+def _json_rows(a: Matrix) -> list:
+    """The entries of ``a`` as JSON scalars, row by row, written from the stored integers.
+
+    Every zero entry is one shared canonical zero text, so a caller that edits
+    the result in place copies it first.  A nonzero value x over ``den`` is
+    written in lowest terms after one gcd over Q, and as ``str(x)`` over F_p.
+    """
+    zero = scalar_to_json(a.field.zero(), a.field)
+    den = None if a.field.is_prime_field else a.den
+    out = []
+    for row in a.nonzero_rows:
+        dense = [zero] * a.cols
+        for j, x in row:
+            if den is None:
+                dense[j] = str(x)
+            else:
+                g = math.gcd(x, den)
+                dense[j] = [str(x // g), str(den // g)]
+        out.append(dense)
+    return out
+
+
 def matrix_to_json(a: Matrix) -> dict:
     return {
         "field": a.field.name(),
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [scalar_to_json(x, a.field) for x in a.entries],
+        "entries": [x for row in _json_rows(a) for x in row],
     }
 
 

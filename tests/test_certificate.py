@@ -39,6 +39,7 @@ from commrep.exactla import (
     QQ,
     dot,
     identity,
+    inverse,
     kernel_basis,
     matrix_from_rows,
     rank,
@@ -321,6 +322,40 @@ def test_every_reason_code_can_be_produced(reason):
     assert not res.ok
     assert reason in res.reasons
     assert set(res.reasons) <= set(ALL_REASONS)
+
+
+def _conjugated_pairs(p):
+    """The n = 2 sharp witness over F_p conjugated by a unitriangular P, so each z_i row has two entries."""
+    field = GF(p)
+    conj = matrix_from_rows(field, [[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+    conj_inv = inverse(conj)
+    pairs = pairs_from_assignment(sharp_witness(2, 3, field))
+    return [(conj @ a @ conj_inv, conj @ b @ conj_inv) for a, b in pairs]
+
+
+def test_verifier_reduces_zv_mod_p():
+    # z_1 v is 0 mod p, though its sums of residue products are not 0 as integers
+    pairs = _conjugated_pairs(7)
+    cert = build_certificate(pairs)
+    z1 = cert.z[0]
+    v = next(w for w in kernel_basis(z1) if any(x * w[j] for row in z1.nonzero_rows for j, x in row))
+    res = verify_certificate(_with(cert, v=v), pairs)
+    assert not res.ok
+    assert REASON_ZV_ZERO in res.reasons
+
+
+def test_verifier_reduces_alpha_v_mod_p():
+    # alpha . v = p v_l: 0 mod p, though not 0 as an integer
+    p = 7
+    pairs = pairs_from_assignment(sharp_witness(2, 3, GF(p)))
+    cert = build_certificate(pairs)
+    k, l = [i for i, x in enumerate(cert.v) if x][:2]
+    alpha = [0] * cert.r
+    alpha[k], alpha[l] = cert.v[l], p - cert.v[k]
+    assert sum(a * x for a, x in zip(alpha, cert.v)) == p * cert.v[l]
+    res = verify_certificate(_with(cert, alpha=tuple(alpha)), pairs)
+    assert not res.ok
+    assert REASON_ALPHA_V_ZERO in res.reasons
 
 
 def test_verifier_accepts_json_round_trip():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from commrep.certificate import (
     _gram_entries,
+    _integer_vector,
     build_certificate,
     pairs_from_assignment,
     verify_certificate,
@@ -79,11 +80,16 @@ def test_gram_entries_match_dense_reference(data):
     v = tuple(data.draw(entries) for _ in range(r))
     alpha = tuple(data.draw(entries) for _ in range(r))
     mats = [matrix_from_rows(field, rows) for rows in basis]
-    rows, xv = _gram_entries(mats, v, alpha, field)
-    assert rows == ref_gram(field, basis, v, alpha)
-    assert [list(w) for w in xv] == [[_canon(field, x) for x in ref_apply(b, v)] for b in basis]
-    scalar = Fraction if field.is_rationals else int
-    assert all(type(x) is scalar for row in rows for x in row)
+    p = field.characteristic
+    v_int, e = _integer_vector(v, p)
+    alpha_int, f = _integer_vector(alpha, p)
+    gram, images = _gram_entries(mats, v_int, alpha_int, e * f, field)
+    expected = ref_gram(field, basis, v, alpha)
+    assert gram.rows_list() == expected
+    assert gram == matrix_from_rows(field, expected)  # the stored form is canonical too
+    # R_i is x_i v times den_i e, as integers (residues over F_p)
+    assert [[_canon(field, m.den * e * x) for x in ref_apply(b, v)] for m, b in zip(mats, basis)] == images
+    assert all(type(x) is int for w in images for x in w)
 
 
 def _dense_witness(n, lam, field):
