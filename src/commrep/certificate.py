@@ -175,11 +175,6 @@ def find_avoiding_vector(constraints: Sequence[Matrix], dim: int, field: FieldSp
     return tuple(field.scalar(d) for d in chosen)
 
 
-def _canonical_matrix(rows: Sequence[Sequence], field: FieldSpec) -> Matrix:
-    """Matrix from rows that already hold canonical scalars of ``field``."""
-    return Matrix(field, len(rows), len(rows[0]), [x for row in rows for x in row])
-
-
 def _split_pairs(pairs) -> tuple:
     if not pairs:
         raise ValueError("need at least one pair")
@@ -311,7 +306,12 @@ def build_certificate(pairs: Sequence) -> LowerBoundCertificate:
 
 
 def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> VerificationResult:
-    """Recompute every invariant from the raw pairs; independent of the builder."""
+    """Recompute every invariant from the raw pairs, and none from the builder's results.
+
+    The code is not independent of the builder: both call ``_gram_entries``,
+    ``_row_sums``, ``_reduced_form``, ``commutator`` and ``rank``, so a fault
+    in one of those would reach both sides.
+    """
     reasons = []
     try:
         a_list, b_list = _split_pairs(pairs)
@@ -415,9 +415,8 @@ def certificate_from_json(doc, path: str = "certificate") -> LowerBoundCertifica
     gram_rows = json_list(doc["gram"], f"{path}.gram", 2 * n)
     for i, row in enumerate(gram_rows):  # likewise every row's shape before any Gram scalar
         json_list(row, f"{path}.gram[{i}]", 2 * n)
-    gram = _canonical_matrix(
-        [scalars_from_json(row, field, f"{path}.gram[{i}]") for i, row in enumerate(gram_rows)], field
-    )
+    entries = [x for i, row in enumerate(gram_rows) for x in scalars_from_json(row, field, f"{path}.gram[{i}]")]
+    gram = Matrix(field, 2 * n, 2 * n, entries)
     return LowerBoundCertificate(
         field=field,
         n=n,

@@ -19,14 +19,13 @@ from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import SchemaError, json_int, json_list, json_object
-from .exactla import FieldSpec, Matrix, _read_only, matrix_from_json, matrix_to_json
+from .exactla import FieldSpec, Matrix, _Value, matrix_from_json, matrix_to_json
 
 
-class CommGraph:
-    """Simple graph on vertices 1..m with unordered edges and no loops.
+class CommGraph(_Value):
+    """Simple graph on vertices 1..m with unordered edges and no loops."""
 
-    Equal and hashed by (vertex_count, edges); the fields cannot be assigned.
-    """
+    _fields = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: frozenset):
         """``edges`` is a frozenset of (u, v) tuples with u < v."""
@@ -41,19 +40,6 @@ class CommGraph:
             if not (1 <= u < v <= vertex_count):
                 raise ValueError(f"edge {e!r} outside 1..{vertex_count}")
         self.__dict__.update(vertex_count=vertex_count, edges=edges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.edges))
-
-    def __repr__(self):
-        return f"CommGraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
-
-    __setattr__ = __delattr__ = _read_only
 
     @staticmethod
     def make(vertex_count: int, edges: Iterable[Sequence[int]]) -> "CommGraph":
@@ -81,11 +67,10 @@ def matching_graph(n: int) -> CommGraph:
     return CommGraph.make(2 * n, [(i, n + i) for i in range(1, n + 1)])
 
 
-class Assignment:
-    """One square matrix per vertex, all of one dimension over one field.
+class Assignment(_Value):
+    """One square matrix per vertex, all of one dimension over one field."""
 
-    Equal and hashed by its tuple of matrices, which cannot be assigned.
-    """
+    _fields = ("matrices",)
 
     def __init__(self, matrices: tuple):
         if not matrices:
@@ -97,19 +82,6 @@ class Assignment:
             if m.field != first.field or m.rows != first.rows:
                 raise ValueError("uniform dimension and field required")
         self.__dict__["matrices"] = matrices
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.matrices == other.matrices
-
-    def __hash__(self):
-        return hash((self.matrices,))
-
-    def __repr__(self):
-        return f"Assignment(matrices={self.matrices!r})"
-
-    __setattr__ = __delattr__ = _read_only
 
     @property
     def field(self) -> FieldSpec:

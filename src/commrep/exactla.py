@@ -4,7 +4,10 @@ Scalars are plain Python values: ``fractions.Fraction`` over Q (always in
 lowest terms with positive denominator) and canonical residues in ``[0, p)``
 over F_p.  A :class:`FieldSpec` tags every matrix and performs coercion and
 scalar arithmetic.  There is no floating point anywhere; every result is
-exact.
+exact.  ``FieldSpec`` and ``Matrix``, like ``CommGraph``, ``Assignment`` and
+``ModuleSpec`` in ``commgraph`` and ``modsplit``, are values on one base,
+``_Value``: equal, hashed and printed by their fields, which cannot be
+assigned.
 
 A :class:`Matrix` stores only its nonzero entries, row by row, which suits
 the matrices this package computes with: the sharp witness in dimension n+1
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -61,32 +65,51 @@ _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
 
 
-def _read_only(self, name, value=None):
-    """``__setattr__`` and ``__delattr__`` of the value classes, whose fields never change."""
-    raise AttributeError(f"cannot assign to field {name!r}")
+class _Value:
+    """Base of the value classes: equal, hashed and printed by the fields named in ``_fields``.
 
-
-class FieldSpec:
-    """An exact base field: the rationals (characteristic None), or integers modulo a prime.
-
-    Equal and hashed by its characteristic, which cannot be assigned.
+    ``__init__`` of a subclass validates and stores the fields in ``__dict__``;
+    ``_make`` stores them unchecked.  An instance is equal only to an instance
+    of its own class, and its fields cannot be assigned or deleted.
     """
 
-    def __init__(self, characteristic: Optional[int]):
-        self.__dict__["characteristic"] = prime_characteristic(characteristic)
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)  # the field values; one field's value alone
+
+    @classmethod
+    def _make(cls, **fields):
+        """An instance with the given fields, without the checks of ``__init__``."""
+        value = cls.__new__(cls)
+        value.__dict__.update(fields)
+        return value
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.characteristic == other.characteristic
+        return self._key(self) == self._key(other)
 
     def __hash__(self):
-        return hash((self.characteristic,))
+        return hash(self._key(self))
 
     def __repr__(self):
-        return f"FieldSpec(characteristic={self.characteristic!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
-    __setattr__ = __delattr__ = _read_only
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class FieldSpec(_Value):
+    """An exact base field: the rationals (characteristic None), or integers modulo a prime."""
+
+    _fields = ("characteristic",)
+
+    def __init__(self, characteristic: Optional[int]):
+        self.__dict__["characteristic"] = prime_characteristic(characteristic)
 
     @property
     def is_rationals(self) -> bool:
@@ -201,7 +224,7 @@ def _sorted_row(acc: dict, p: Optional[int]) -> tuple:
     return tuple(out)
 
 
-class Matrix:
+class Matrix(_Value):
     """Matrix with value semantics; entries share the matrix's field.
 
     Only the nonzero entries are stored: for each row, the (column, value)
@@ -211,9 +234,10 @@ class Matrix:
     denominators, so no factor is common to it and every value.  That form
     is canonical, so equality and hashing compare matrices by value.  The
     dense views ``entries``, ``row_values`` and ``rows_list`` hold field
-    scalars and are rebuilt on every call.  The fields ``field``, ``rows``,
-    ``cols``, ``nonzero_rows`` and ``den`` cannot be assigned.
+    scalars and are rebuilt on every call.
     """
+
+    _fields = ("field", "rows", "cols", "den", "nonzero_rows")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries: Sequence[ScalarValue]):
         """Matrix from its row-major entries, canonical scalars of ``field``."""
@@ -237,24 +261,7 @@ class Matrix:
             if g != 1:
                 den //= g
                 nonzero_rows = tuple(tuple((j, x // g) for j, x in row) for row in nonzero_rows)
-        m = cls.__new__(cls)
-        m.__dict__.update(field=field, rows=rows, cols=cols, nonzero_rows=nonzero_rows, den=den)
-        return m
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.rows, self.cols, self.den, self.nonzero_rows) == (
-            other.field, other.rows, other.cols, other.den, other.nonzero_rows)
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.den, self.nonzero_rows))
-
-    def __repr__(self):
-        return (f"Matrix(field={self.field!r}, rows={self.rows!r}, cols={self.cols!r}, "
-                f"nonzero_rows={self.nonzero_rows!r}, den={self.den!r})")
-
-    __setattr__ = __delattr__ = _read_only
+        return cls._make(field=field, rows=rows, cols=cols, nonzero_rows=nonzero_rows, den=den)
 
     # -- shape / access ---------------------------------------------------
 

@@ -66,8 +66,9 @@ from .exactla import (
     _integer_dense_rows,
     _nonzero_row,
     _null_space,
-    _read_only,
     _reduced_form,
+    _row_sums,
+    _Value,
     field_from_json,
     identity,
     inverse,
@@ -83,11 +84,10 @@ VERDICT_SATISFIED = "satisfied"
 VERDICT_PRECONDITION_FAILED = "precondition_failed"
 
 
-class ModuleSpec:
-    """Invertible generators acting on F_p^dim.
+class ModuleSpec(_Value):
+    """Invertible generators acting on F_p^dim."""
 
-    Equal and hashed by (field, dim, generators); the fields cannot be assigned.
-    """
+    _fields = ("field", "dim", "generators")
 
     def __init__(self, field: FieldSpec, dim: int, generators: tuple):
         if not field.is_prime_field:
@@ -105,32 +105,6 @@ class ModuleSpec:
                 raise ValueError("generators must be invertible")
         self.__dict__.update(field=field, dim=dim, generators=generators)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.dim, self.generators) == (other.field, other.dim, other.generators)
-
-    def __hash__(self):
-        return hash((self.field, self.dim, self.generators))
-
-    def __repr__(self):
-        return f"ModuleSpec(field={self.field!r}, dim={self.dim!r}, generators={self.generators!r})"
-
-    __setattr__ = __delattr__ = _read_only
-
-
-class _Piece(NamedTuple):
-    """A module met while splitting, with the fields ``spin`` reads from a ``ModuleSpec``.
-
-    Its generators are diagonal blocks of conjugated invertible generators,
-    or their transposes, so they are invertible by construction and are not
-    checked again.
-    """
-
-    field: FieldSpec
-    dim: int
-    generators: tuple
-
 
 class CompositionReport(NamedTuple):
     factor_dims: tuple  # block sizes in series order; multiset is basis-independent
@@ -142,7 +116,10 @@ class CompositionReport(NamedTuple):
 def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
     """Canonical RREF basis of the smallest invariant subspace containing ``vector``.
 
-    ``spec`` is a ``ModuleSpec``, or a ``_Piece`` met while splitting one.
+    A piece met while splitting is a ``ModuleSpec`` built by ``_make``: its
+    generators are diagonal blocks of conjugated invertible generators, or
+    their transposes, so they are not checked again.  Each generator image
+    is one ``_row_sums`` of the generator's stored residue rows.
     """
     p, dim = spec.field.characteristic, spec.dim
     vec = [x % p for x in vector]
@@ -156,8 +133,7 @@ def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
     while queue and len(pivots) < dim:
         w = queue.pop()
         for rows in generator_rows:
-            image = [sum(x * w[j] for j, x in row) % p for row in rows]
-            reduced = _insert_row(basis, pivots, image, p)
+            reduced = _insert_row(basis, pivots, _row_sums(rows, w, p), p)
             if reduced is not None:
                 queue.append(reduced)
                 if len(pivots) == dim:
@@ -237,7 +213,7 @@ def _submodule(spec: ModuleSpec, budget: _Budget) -> Optional[Sequence]:
             return sub
     # so a proper submodule misses ker theta, lies in im theta, and is annihilated by
     # ker theta^T and by everything a vector of it spins to under the transposes
-    dual = _Piece(spec.field, d, tuple(g.transpose() for g in spec.generators))
+    dual = ModuleSpec._make(field=spec.field, dim=d, generators=tuple(g.transpose() for g in spec.generators))
     budget.charge()
     annihilated = spin(_null_space(zip(*theta), d, p)[0], dual)
     if len(annihilated) == d:
@@ -277,8 +253,10 @@ def _factor_chain(spec: ModuleSpec):
             assert all(
                 j >= w for row in c.nonzero_rows[w:] for j, _ in row
             ), "submodule basis failed to block-triangularize"
-        submodule = _Piece(field, w, tuple(_diagonal_block(c, 0, w) for c in conjugated))
-        quotient = _Piece(field, k - w, tuple(_diagonal_block(c, w, k) for c in conjugated))
+        submodule = ModuleSpec._make(
+            field=field, dim=w, generators=tuple(_diagonal_block(c, 0, w) for c in conjugated))
+        quotient = ModuleSpec._make(
+            field=field, dim=k - w, generators=tuple(_diagonal_block(c, w, k) for c in conjugated))
         moved = (change_t @ vectors).nonzero_rows
         stack.append((quotient, Matrix._sparse(field, k - w, d, moved[w:])))
         stack.append((submodule, Matrix._sparse(field, w, d, moved[:w])))

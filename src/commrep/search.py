@@ -26,15 +26,7 @@ from typing import NamedTuple, Optional
 
 from .commgraph import Assignment, CommGraph, assignment_to_json, graph_to_json, realizes
 from .errors import GuardError, InvalidHintError
-from .exactla import (
-    GF,
-    FieldSpec,
-    Matrix,
-    _reduced_form,
-    is_invertible,
-    kernel_basis,
-    matrix_from_rows,
-)
+from .exactla import FieldSpec, Matrix, _null_space, _reduced_form, is_invertible
 
 FOUND = "found"
 NONE = "none"
@@ -132,7 +124,7 @@ class _Classes:
         # (AX - XA)[i][j] = 0 in the row-major entries x_kl of X, then x_rr = 0
         eqs = [[(a[i * r + k] * (l == j) - (i == k) * a[l * r + j]) % p for k in range(r) for l in range(r)]
                for i in range(r) for j in range(r)]
-        kernel = [list(v) for v in kernel_basis(matrix_from_rows(GF(p), eqs + [[0] * (n - 1) + [1]]))]
+        kernel = [list(v) for v in _null_space(eqs + [[0] * (n - 1) + [1]], n, p)]
         basis, pivots = _reduced_form(kernel, n, p)
         # in reduced echelon form the projective points are b_i plus any combination of later rows
         indices = [0]
@@ -249,6 +241,8 @@ def min_realization_dim(
         raise ValueError("exhaustive search needs a finite field")
     if r_max < 1:
         raise ValueError("r_max must be positive")
+    if mode not in (MODE_ALL, MODE_INVERTIBLE):  # checked here too: a 1-dimensional hint sweeps no level
+        raise ValueError(f"unknown mode {mode!r}")
     _check_vertex_cap(graph)
 
     upper = witness = None

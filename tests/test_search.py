@@ -11,7 +11,17 @@ import pytest
 
 from commrep.commgraph import Assignment, CommGraph, matching_graph, realizes
 from commrep.errors import GuardError, InvalidHintError
-from commrep.exactla import GF, Matrix, block_diagonal, commutator, is_invertible, zeros
+from commrep.exactla import (
+    GF,
+    Matrix,
+    block_diagonal,
+    commutator,
+    identity,
+    is_invertible,
+    kernel_basis,
+    matrix_from_rows,
+    zeros,
+)
 from commrep.search import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -171,6 +181,16 @@ def test_invertible_only_refuses_a_singular_hint():
     assert (report.status, report.upper) == (STATUS_EXACT, 3)
 
 
+def test_unknown_mode_refused_with_a_one_dimensional_hint():
+    # a 1-dimensional hint ends the ascent before any level is swept
+    graph, hint = CommGraph.make(2, []), Assignment((identity(1, GF(2)),) * 2)
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        min_realization_dim(graph, GF(2), 3, mode="bogus", hint=hint)
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        min_realization_dim(graph, GF(2), 3, mode="bogus")
+    assert min_realization_dim(graph, GF(2), 3, hint=hint).status == STATUS_EXACT
+
+
 def test_invertible_only_mode():
     out = exists_realization(matching_graph(1), GF(3), 2, mode="invertible_only")
     assert out.status == FOUND
@@ -264,6 +284,20 @@ def test_commuting_rows_match_brute_force(r, p, count, step):
     for i, a in list(enumerate(reps))[::step]:
         row = classes.row(i)
         assert [row >> j & 1 for j in range(classes.count)] == [_commutes(a, b, r, p) for b in reps]
+
+
+@pytest.mark.parametrize("r, p", [(2, 2), (2, 3), (3, 2)])
+def test_commuting_rows_match_the_kernel_basis_path(monkeypatch, r, p):
+    # oracle: each centralizer kernel taken through a coerced Matrix and kernel_basis, as rows once took it
+    def kernel_of_matrix(rows, width, p):
+        return kernel_basis(matrix_from_rows(GF(p), rows))
+
+    monkeypatch.setattr("commrep.search._null_space", kernel_of_matrix)
+    old = _Classes(r, p)
+    oracle = [old.row(i) for i in range(old.count)]
+    monkeypatch.undo()
+    classes = _Classes(r, p)
+    assert [classes.row(i) for i in range(classes.count)] == oracle
 
 
 @pytest.mark.parametrize("graph", [CommGraph.make(4, [(1, 2), (2, 3), (3, 4)]), matching_graph(2)],

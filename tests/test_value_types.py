@@ -1,7 +1,8 @@
-"""The value types: equality and hashing by value, read-only fields, validation messages.
+"""The value types: equality, hashing and ``repr`` by value, read-only fields, validation messages.
 
 ``FieldSpec``, ``Matrix``, ``CommGraph``, ``Assignment`` and ``ModuleSpec``
-are plain classes that validate in ``__init__``; the result records are
+validate in ``__init__`` and take equality, hashing, ``repr`` and read-only
+fields from one base, ``exactla._Value``; the result records are
 ``NamedTuple``s, so they are also tuples.
 """
 
@@ -32,6 +33,15 @@ PLAIN = {
     CommGraph: (lambda: (3, frozenset({(1, 2)})), lambda: (3, frozenset({(2, 3)})), "edges"),
     Assignment: (lambda: ((_one(), _one()),), lambda: ((_one(F3),),), "matrices"),
     ModuleSpec: (lambda: (F2, 1, (_one(),)), lambda: (F3, 1, (_one(F3),)), "generators"),
+}
+
+# class -> every field, each named by repr
+FIELDS = {
+    FieldSpec: ("characteristic",),
+    Matrix: ("field", "rows", "cols", "nonzero_rows", "den"),
+    CommGraph: ("vertex_count", "edges"),
+    Assignment: ("matrices",),
+    ModuleSpec: ("field", "dim", "generators"),
 }
 
 RECORDS = {
@@ -80,6 +90,29 @@ def test_another_class_with_equal_fields_is_not_equal(cls):
     other_class = type("Other" + cls.__name__, (cls,), {})
     assert cls(*args()) != other_class(*args())
     assert other_class(*args()) != cls(*args())
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=_ids(PLAIN))
+def test_repr_names_the_class_and_every_field(cls):
+    args, _, _ = PLAIN[cls]
+    value = cls(*args())
+    text = repr(value)
+    assert text.startswith(cls.__name__ + "(") and text.endswith(")")
+    for name in FIELDS[cls]:
+        assert f"{name}={getattr(value, name)!r}" in text
+    assert text.count("=") == sum(repr(getattr(value, name)).count("=") + 1 for name in FIELDS[cls])
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=_ids(PLAIN))
+def test_make_builds_an_equal_value(cls):
+    args, _, _ = PLAIN[cls]
+    value = cls(*args())
+    assert cls._make(**{name: getattr(value, name) for name in FIELDS[cls]}) == value
+
+
+def test_make_skips_the_checks():
+    singular = matrix_from_rows(F2, [[1, 0], [1, 0]])
+    assert ModuleSpec._make(field=F2, dim=2, generators=(singular,)).generators == (singular,)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=_ids(RECORDS))
