@@ -17,7 +17,11 @@ forces r >= n+1:
 
 The verifier recomputes everything from the raw pairs and accepts only if
 every invariant holds, so an accepted certificate yields r >= n+1 by direct
-rank computation, independent of how it was built.
+rank computation, independent of how it was built.  The proof needs only the
+vectors z_i v, not the r x r commutators z_i, so on a certificate read from
+JSON the verifier takes each z_i v from the images x_i v it computes for the
+Gram matrix and forms a commutator only where it must (see
+``verify_certificate``).
 
 Over a prime field the grid argument needs p distinct digit values, hence
 the p > 2n+1 precondition; scalar extension is deliberately not implemented
@@ -93,7 +97,7 @@ class LowerBoundCertificate:
     """Witness bundle concluding that the ambient dimension r is >= n+1.
 
     ``z`` may be None for certificates read back from JSON; the verifier
-    then works from the recomputed commutators alone.
+    then works from the recomputed vectors z_i v alone.
     """
 
     field: FieldSpec
@@ -249,6 +253,19 @@ def _gram_entries(basis, v_int, alpha_int, scale, field):
     return gram, images
 
 
+def _commutator_image(a: Matrix, b: Matrix, image_a: list, image_b: list, p) -> list:
+    """den_a den_b e z v for z = [a, b], from the images R_a = A v_int and R_b = B v_int.
+
+    With A = den_a a and B = den_b b the stored integers and v_int = e v,
+    A R_b - B R_a = den_a den_b e (ab - ba) v: two row sums, and no
+    commutator.  Over F_p the entries are reduced mod p.
+    """
+    left, right = _row_sums(a.nonzero_rows, image_b, p), _row_sums(b.nonzero_rows, image_a, p)
+    if p is None:
+        return [x - y for x, y in zip(left, right)]
+    return [(x - y) % p for x, y in zip(left, right)]
+
+
 def build_certificate(pairs: Sequence) -> LowerBoundCertificate:
     """Construct the full certificate for pairs realizing the matching pattern."""
     a_list, b_list = _split_pairs(pairs)
@@ -308,9 +325,18 @@ def build_certificate(pairs: Sequence) -> LowerBoundCertificate:
 def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> VerificationResult:
     """Recompute every invariant from the raw pairs, and none from the builder's results.
 
+    A certificate read from JSON carries no z.  Then each z_i v is taken
+    from the images R_i = X_i v_int that ``_gram_entries`` returns with the
+    Gram matrix, as A_i R_{b_i} - B_i R_{a_i} (see ``_commutator_image``), so
+    no r x r commutator is needed to decide ``zv_zero`` and
+    ``alpha_zv_zero``, and z_i is formed only to decide ``z_zero`` for a pair
+    whose z_i v vanishes: z_i v != 0 already shows z_i != 0.  A certificate
+    that carries z (one built in memory) has every z_i formed to compare it,
+    and z_i v is read off z_i.
+
     The code is not independent of the builder: both call ``_gram_entries``,
-    ``_row_sums``, ``_reduced_form``, ``commutator`` and ``rank``, so a fault
-    in one of those would reach both sides.
+    ``_row_sums``, ``_reduced_form`` and ``rank``, and ``commutator`` where
+    the verifier forms one, so a fault in one of those would reach both sides.
     """
     reasons = []
     try:
@@ -322,7 +348,7 @@ def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> Verifica
 
     if cert.n != n or cert.n < 1:
         reasons.append(REASON_N_MISMATCH)
-    if cert.field != field:
+    if cert.field != field or any(m.field != field for m in a_list + b_list):
         reasons.append(REASON_FIELD_MISMATCH)
     if cert.r != r or any(
         (not m.is_square) or m.rows != r for m in a_list + b_list
@@ -335,24 +361,29 @@ def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> Verifica
     if reasons:
         return VerificationResult(False, tuple(reasons))
 
-    z = [commutator(a, b) for a, b in zip(a_list, b_list)]
-    if any(zi.is_zero() for zi in z):
-        reasons.append(REASON_Z_ZERO)
-    if cert.z is not None and (len(cert.z) != n or any(s != zi for s, zi in zip(cert.z, z))):
-        reasons.append(REASON_Z_MISMATCH)
-
     p = field.characteristic
     v_int, e = _integer_vector(cert.v, p)
     alpha_int, f = _integer_vector(cert.alpha, p)
-    zv = [_row_sums(zi.nonzero_rows, v_int, p) for zi in z]
-    if any(not any(w) for w in zv):
+    expected_gram, images = _gram_entries(a_list + b_list, v_int, alpha_int, e * f, field)
+    if cert.z is None:
+        # z_i v != 0 shows z_i != 0, so a commutator is formed only where z_i v = 0
+        z = None
+        zv = [_commutator_image(a, b, ra, rb, p) for a, b, ra, rb in zip(a_list, b_list, images, images[n:])]
+    else:  # every z_i is formed to compare it with the carried one, so z_i v is read off its rows
+        z = [commutator(a, b) for a, b in zip(a_list, b_list)]
+        zv = [_row_sums(zi.nonzero_rows, v_int, p) for zi in z]
+    vanishing = [i for i, w in enumerate(zv) if not any(w)]
+    if any((commutator(a_list[i], b_list[i]) if z is None else z[i]).is_zero() for i in vanishing):
+        reasons.append(REASON_Z_ZERO)
+    if z is not None and (len(cert.z) != n or any(s != zi for s, zi in zip(cert.z, z))):
+        reasons.append(REASON_Z_MISMATCH)
+    if vanishing:
         reasons.append(REASON_ZV_ZERO)
     if not _pairing(alpha_int, v_int, p):
         reasons.append(REASON_ALPHA_V_ZERO)
     if any(not _pairing(alpha_int, w, p) for w in zv):
         reasons.append(REASON_ALPHA_ZV_ZERO)
 
-    expected_gram, images = _gram_entries(a_list + b_list, v_int, alpha_int, e * f, field)
     if cert.gram.rows != 2 * n or cert.gram.cols != 2 * n or cert.gram.field != field:
         reasons.append(REASON_GRAM_MISMATCH)
     else:
@@ -385,7 +416,7 @@ def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> Verifica
 
 # Certificate schema: {"field":, "n":, "r":, "v":, "alpha":, "gram":,
 #                      "image_rank":, "bound":}; the commutators are not
-# serialized, the verifier recomputes them from the pairs.
+# serialized, the verifier recomputes each z_i v from the pairs.
 
 
 def certificate_to_json(cert: LowerBoundCertificate) -> dict:

@@ -25,6 +25,9 @@ the JSON writers write each entry from its stored int and ``den``.  A
 views, ``Matrix.apply``, ``kernel_basis`` and scalar coercion.  Products and
 commutators share one integer pass, ``_products``: a commutator [a, b]
 accumulates ab - ba row by row, over the one denominator both products share.
+The pass sums few terms per output entry (sparse or small factors) in a dict
+per row, and many (dense factors) on rows packed into one int each, with one
+multiply-add per stored entry.
 
 Indices in the public API are 1-based, matching the usual E_{i,j} notation
 for elementary matrices; storage is 0-based internally.
@@ -86,6 +89,8 @@ class _Value:
         return value
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == self._key(other)
@@ -442,15 +447,53 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return _products(a, b, commute=True)
 
 
+# _products packs rows into ints once its term count exceeds this many terms per output entry
+_PACK_RATIO = 8
+
+
 def _products(a: Matrix, b: Matrix, commute: bool) -> Matrix:
     """ab, or ab - ba when ``commute``, in one pass over the stored integers.
 
-    Row i accumulates the integers a_ik b_kj (less b_ik a_kj when commuting)
-    in one dict, over the denominator both products share, the product of
-    the factors' ``den``.  Over F_p each output entry is reduced mod p once.
+    Both products share one denominator, the product of the factors' ``den``.
+    The terms a_ik b_kj (and b_ik a_kj when commuting) are summed one of two
+    ways, chosen by their count (``_many_terms``): term by term into a dict per row, by
+    ``_dict_products``, when each output entry gets few of them (sparse
+    factors, or a small inner dimension), or on packed rows, by
+    ``_packed_products``, when they number more than ``_PACK_RATIO`` per
+    output entry.  Over F_p each output entry is reduced mod p once.
     """
     p = a.field.characteristic
     arows, brows = a.nonzero_rows, b.nonzero_rows
+    if _many_terms(a, b, commute):
+        out = _packed_products(arows, brows, a.cols, b.cols, commute, p)
+    else:
+        out = _dict_products(arows, brows, commute, p)
+    return Matrix._sparse(a.field, a.rows, b.cols, tuple(out), a.den * b.den)
+
+
+def _many_terms(a: Matrix, b: Matrix, commute: bool) -> bool:
+    """Whether ab (and ba when commuting) has more than ``_PACK_RATIO`` terms per output entry.
+
+    A term is a product a_ik b_kj of two stored entries.  There are at most
+    rows * inner * cols of them, and each stored a_ik (and b_ik when commuting)
+    meets at most cols, so small and sparse factors are settled before the
+    exact count.
+    """
+    if (1 + commute) * a.cols <= _PACK_RATIO:
+        return False
+    arows, brows = a.nonzero_rows, b.nonzero_rows
+    limit = _PACK_RATIO * a.rows * b.cols
+    if (sum(map(len, arows)) + (sum(map(len, brows)) if commute else 0)) * b.cols <= limit:
+        return False
+    alen, blen = [*map(len, arows)], [*map(len, brows)]
+    terms = sum(blen[k] for row in arows for k, _ in row)
+    if commute:
+        terms += sum(alen[k] for row in brows for k, _ in row)
+    return terms > limit
+
+
+def _dict_products(arows: tuple, brows: tuple, commute: bool, p: Optional[int]) -> list:
+    """The nonzero rows of ab (less ba when commuting), each summed term by term in one dict."""
     out = []
     for i, arow in enumerate(arows):
         acc = {}
@@ -468,7 +511,45 @@ def _products(a: Matrix, b: Matrix, commute: bool) -> Matrix:
                     else:
                         acc[j] = -y * x
         out.append(_sorted_row(acc, p))
-    return Matrix._sparse(a.field, a.rows, b.cols, tuple(out), a.den * b.den)
+    return out
+
+
+def _packed_products(arows: tuple, brows: tuple, inner: int, cols: int, commute: bool, p: Optional[int]) -> list:
+    """The nonzero rows of ab (less ba when commuting), each built as one int.
+
+    Each row of b (and of a when commuting) is packed into one int with a
+    slot of ``width`` bits per column, entry b_kj at bit j * width; an entry
+    may be negative, which the packed int absorbs as a borrow from the slots
+    above.  Row i of ab is then sum_k a_ik B_k, one multiply-add per stored
+    a_ik, less sum_k b_ik A_k when commuting.  Every output entry c has
+    |c| <= 2 * inner * max|a| * max|b| < 2^(width-1), so adding 2^(width-1)
+    to every slot, by one precomputed bias, makes each slot the plain digit
+    c + 2^(width-1), read with a shift and a mask.
+    """
+    top = max((abs(x) for row in arows for _, x in row), default=0)
+    top *= max((abs(y) for row in brows for _, y in row), default=0)
+    width = (2 * inner * top).bit_length() + 1
+    half, mask = 1 << width - 1, (1 << width) - 1
+    bias = half * (((1 << width * cols) - 1) // mask)
+    packed_b = [sum(y << j * width for j, y in row) for row in brows]
+    packed_a = [sum(x << j * width for j, x in row) for row in arows] if commute else None
+    out = []
+    for i, arow in enumerate(arows):
+        s = bias
+        for k, x in arow:
+            s += x * packed_b[k]
+        if commute:
+            for k, y in brows[i]:
+                s -= y * packed_a[k]
+        row = []
+        for j in range(cols):
+            x = (s >> j * width & mask) - half
+            if p is not None:
+                x %= p
+            if x:
+                row.append((j, x))
+        out.append(tuple(row))
+    return out
 
 
 # -- elimination -----------------------------------------------------------

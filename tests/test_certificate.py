@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import commrep.certificate as certificate
 from commrep.certificate import (
     ALL_REASONS,
     REASON_ALPHA_LENGTH,
@@ -30,6 +31,7 @@ from commrep.certificate import (
     certificate_from_json,
     certificate_to_json,
     find_avoiding_vector,
+    VerificationResult,
     pairs_from_assignment,
     verify_certificate,
 )
@@ -37,6 +39,7 @@ from commrep.errors import FieldTooSmallError, PatternViolationError
 from commrep.exactla import (
     GF,
     QQ,
+    commutator,
     dot,
     identity,
     inverse,
@@ -48,7 +51,7 @@ from commrep.exactla import (
 )
 from commrep.witness import sharp_witness
 
-from conftest import big_fractions, small_fractions
+from conftest import big_fractions, kernel_path, small_fractions
 
 
 def F(x):
@@ -324,6 +327,17 @@ def test_every_reason_code_can_be_produced(reason):
     assert set(res.reasons) <= set(ALL_REASONS)
 
 
+@pytest.mark.parametrize("reason", [r for r in ALL_REASONS if r != REASON_Z_MISMATCH])
+def test_every_reason_tuple_is_the_same_without_a_carried_z(reason):
+    # a certificate read from JSON carries no z, so the verifier takes z_i v from its images;
+    # only z_mismatch, which compares a carried z, can drop out
+    cert, pairs = _REASON_CASES[reason](*_valid())
+    carried = verify_certificate(cert, pairs)
+    res = verify_certificate(_with(cert, z=None), pairs)
+    assert res.reasons == tuple(r for r in carried.reasons if r != REASON_Z_MISMATCH)
+    assert reason in res.reasons
+
+
 def _conjugated_pairs(p):
     """The n = 2 sharp witness over F_p conjugated by a unitriangular P, so each z_i row has two entries."""
     field = GF(p)
@@ -333,13 +347,17 @@ def _conjugated_pairs(p):
     return [(conj @ a @ conj_inv, conj @ b @ conj_inv) for a, b in pairs]
 
 
+def _v_in_kernel_of_z1(cert):
+    """A vector v with z_1 v = 0 mod p, though z_1 v has nonzero integer sums of residue products."""
+    z1 = cert.z[0]
+    return next(w for w in kernel_basis(z1) if any(x * w[j] for row in z1.nonzero_rows for j, x in row))
+
+
 def test_verifier_reduces_zv_mod_p():
     # z_1 v is 0 mod p, though its sums of residue products are not 0 as integers
     pairs = _conjugated_pairs(7)
     cert = build_certificate(pairs)
-    z1 = cert.z[0]
-    v = next(w for w in kernel_basis(z1) if any(x * w[j] for row in z1.nonzero_rows for j, x in row))
-    res = verify_certificate(_with(cert, v=v), pairs)
+    res = verify_certificate(_with(cert, v=_v_in_kernel_of_z1(cert)), pairs)
     assert not res.ok
     assert REASON_ZV_ZERO in res.reasons
 
@@ -365,3 +383,80 @@ def test_verifier_accepts_json_round_trip():
     assert loaded.z is None
     assert verify_certificate(loaded, pairs).ok
     assert certificate_to_json(loaded) == doc
+
+
+def test_verifier_rejects_pairs_over_another_field():
+    # the verifier forms no commutator that would refuse mixed fields, so it checks every pair matrix
+    cert, pairs = _valid()
+    (a, b), rest = pairs[0], pairs[1:]
+    mixed = [(a, matrix_from_rows(GF(5), b.rows_list()))] + rest
+    assert verify_certificate(cert, mixed).reasons == (REASON_FIELD_MISMATCH,)
+
+
+def _counted_commutators(monkeypatch):
+    """A list that grows by one pair of matrices per commutator the verifier forms."""
+    formed = []
+
+    def counted(a, b):
+        formed.append((a, b))
+        return commutator(a, b)
+
+    monkeypatch.setattr(certificate, "commutator", counted)
+    return formed
+
+
+def test_json_verifier_forms_no_commutator(monkeypatch):
+    cert, pairs = _valid()
+    loaded = certificate_from_json(certificate_to_json(cert))
+    formed = _counted_commutators(monkeypatch)
+    assert verify_certificate(loaded, pairs).ok
+    assert formed == []
+    assert verify_certificate(cert, pairs).ok  # a carried z is compared, so each z_i is formed
+    assert len(formed) == cert.n
+
+
+def test_json_verifier_reports_zv_zero_and_not_z_zero(monkeypatch):
+    # z_1 != 0 and z_1 v = 0: z_1 v alone cannot show z_1 != 0, so z_1 is formed for that pair only
+    pairs = _conjugated_pairs(7)
+    cert = build_certificate(pairs)
+    bad = _with(cert, v=_v_in_kernel_of_z1(cert), z=None)
+    formed = _counted_commutators(monkeypatch)
+    res = verify_certificate(bad, pairs)
+    assert not res.ok
+    assert REASON_ZV_ZERO in res.reasons and REASON_Z_ZERO not in res.reasons
+    assert formed == [pairs[0]]
+    assert res == verify_certificate(_with(bad, z=cert.z), pairs)
+
+
+def _dense_conjugated_pairs(n, field):
+    """The sharp witness conjugated by P = I + c u w^T, w.u = 0, so P^-1 = I - c u w^T and each x_i is dense."""
+    r = n + 1
+    u = [(-1) ** i * (i % 3 + 1) for i in range(r - 1)] + [1]
+    w = [i % 4 + 1 for i in range(r - 1)]
+    w.append(-sum(x * y for x, y in zip(u, w)))
+    c = Fraction(5, 2) if field.is_rationals else 5
+    conj = matrix_from_rows(field, [[int(i == j) + c * u[i] * w[j] for j in range(r)] for i in range(r)])
+    conj_inv = matrix_from_rows(field, [[int(i == j) - c * u[i] * w[j] for j in range(r)] for i in range(r)])
+    assert conj @ conj_inv == identity(r, field)
+    pairs = pairs_from_assignment(sharp_witness(n, 3, field))
+    return [(conj @ a @ conj_inv, conj @ b @ conj_inv) for a, b in pairs]
+
+
+@pytest.mark.parametrize("field", [GF(19), QQ], ids=["GF(19)", "Q"])
+def test_dense_certificate_is_the_same_on_both_kernel_paths(field):
+    pairs = _dense_conjugated_pairs(8, field)
+    assert field.is_prime_field or pairs[0][0].den > 1
+    with kernel_path() as calls:
+        build_certificate(pairs)
+    assert calls["packed"] > 0  # the dense commutators pack unforced
+    outcomes = []
+    for path in ("dict", "packed"):
+        with kernel_path(path) as calls:
+            cert = build_certificate(pairs)
+            doc = certificate_to_json(cert)
+            loaded = certificate_from_json(doc)
+            verdicts = (verify_certificate(cert, pairs), verify_certificate(loaded, pairs))
+        assert set(calls) == {path}
+        outcomes.append((doc, verdicts))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == (VerificationResult(True, ()),) * 2

@@ -7,10 +7,16 @@ shapes with many zero entries.  Each result must match the reference in its
 stored nonzero rows, integers over one denominator in lowest terms, in every
 dense view, and in equality and hashing with the matrix the public
 constructor builds from the reference's entries.
+
+``exactla._products`` sums a product's terms in a dict per row, or on rows
+packed into ints when the terms are many per output entry.  The tests of
+products and commutators force each path in turn; fixed dense cases reach
+the packed path unforced.  Both count which path ran.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,8 +33,9 @@ from commrep.exactla import (
     identity,
     zeros,
 )
+from commrep.witness import sharp_witness
 
-from conftest import big_fractions, small_fractions
+from conftest import big_fractions, kernel_path, small_fractions
 
 
 def _residues(p):
@@ -124,6 +131,15 @@ def ref_block_diagonal(field, blocks):
     return out
 
 
+def on_each_path(check):
+    """``check()`` with every product forced onto each path of ``exactla._products`` in turn."""
+    for path in ("dict", "packed"):
+        with kernel_path(path) as calls:
+            result = check()
+        assert set(calls) == {path}
+    return result
+
+
 # -- tests --------------------------------------------------------------------
 
 
@@ -158,7 +174,7 @@ def test_product_and_transpose(data):
     r, k, c = data.draw(dims), data.draw(dims), data.draw(dims)
     a_rows, b_rows = dense(data.draw, values, r, k), dense(data.draw, values, k, c)
     a, b = build(field, a_rows), build(field, b_rows)
-    assert_matches(a @ b, field, ref_matmul(field, a_rows, b_rows))
+    on_each_path(lambda: assert_matches(a @ b, field, ref_matmul(field, a_rows, b_rows)))
     assert_matches(a.transpose(), field, ref_transpose(a_rows))
 
 
@@ -189,7 +205,8 @@ def test_block_diagonal_and_commutator(data):
     expected = ref_combine(
         field, ref_matmul(field, a_rows, b_rows), ref_matmul(field, b_rows, a_rows), -1
     )
-    assert_matches(commutator(build(field, a_rows), build(field, b_rows)), field, expected)
+    a, b = build(field, a_rows), build(field, b_rows)
+    on_each_path(lambda: assert_matches(commutator(a, b), field, expected))
 
 
 # -- the shared product routine against the two-product commutator -----------
@@ -201,15 +218,19 @@ def oracle_commutator(a, b):
 
 
 def assert_products_match(field, a_rows, b_rows):
-    """a @ b matches the dense reference and [a, b] and [b, a] match the oracle and the reference."""
+    """On each kernel path, a @ b matches the reference and [a, b] and [b, a] the oracle and the reference."""
     a, b = build(field, a_rows), build(field, b_rows)
-    assert_matches(a @ b, field, ref_matmul(field, a_rows, b_rows))
     ab, ba = ref_matmul(field, a_rows, b_rows), ref_matmul(field, b_rows, a_rows)
-    forward, backward = commutator(a, b), commutator(b, a)
-    assert_matches(forward, field, ref_combine(field, ab, ba, -1))
-    assert_matches(backward, field, ref_combine(field, ba, ab, -1))
-    assert forward == oracle_commutator(a, b) and backward == oracle_commutator(b, a)
-    return forward
+
+    def check():
+        assert_matches(a @ b, field, ab)
+        forward, backward = commutator(a, b), commutator(b, a)
+        assert_matches(forward, field, ref_combine(field, ab, ba, -1))
+        assert_matches(backward, field, ref_combine(field, ba, ab, -1))
+        assert forward == oracle_commutator(a, b) and backward == oracle_commutator(b, a)
+        return forward
+
+    return on_each_path(check)
 
 
 @settings(max_examples=80, deadline=None)
@@ -271,7 +292,11 @@ def test_products_whose_terms_cancel_entry_by_entry(data):
     row = [data.draw(values) for _ in range(2 * n)]
     a_rows = [[x] * 2 for x in col]
     b_rows = [row, [_canon(field, -y) for y in row]]
-    assert build(field, a_rows) @ build(field, b_rows) == zeros(2 * n, 2 * n, field)
+
+    def cancels():
+        assert build(field, a_rows) @ build(field, b_rows) == zeros(2 * n, 2 * n, field)
+
+    on_each_path(cancels)
     # padded to square, the same pair exercises the commutator's shared denominator
     pad = _canon(field, 0)
     a_sq = [r + [pad] * (2 * n - 2) for r in a_rows]
@@ -290,3 +315,60 @@ def test_explicit_zeros_equal_and_hash_like_arithmetic(field):
             made = identity(r, field) + e - e
             assert made == written and hash(made) == hash(written)
             assert e - e == blank and hash(e - e) == hash(blank) == hash(zeros(r, r, field))
+
+
+# -- the packed path, reached unforced -------------------------------------------
+
+
+def _dense_rows(field, rows, cols, seed):
+    """Rows with every entry nonzero: over Q signed, some of 40 digits, over den up to 9."""
+    rng = random.Random(seed)
+
+    def draw():
+        if field.is_prime_field:
+            return rng.randint(1, field.characteristic - 1)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.choice([1, 3, 40])), rng.randint(1, 9))
+
+    return [[draw() for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2**61 - 1)], ids=["Q", "GF(2^61-1)"])
+def test_dense_10x10_products_take_the_packed_path(field):
+    a_rows, b_rows = _dense_rows(field, 10, 10, 1), _dense_rows(field, 10, 10, 2)
+    a, b = build(field, a_rows), build(field, b_rows)
+    if field.is_rationals:
+        assert a.den > 1 and b.den > 1
+        assert min(x for row in a.nonzero_rows for _, x in row) < 0
+        assert max(abs(x) for row in a.nonzero_rows for _, x in row).bit_length() > 128
+    ab, ba = ref_matmul(field, a_rows, b_rows), ref_matmul(field, b_rows, a_rows)
+    with kernel_path() as calls:
+        assert_matches(a @ b, field, ab)
+        assert_matches(commutator(a, b), field, ref_combine(field, ab, ba, -1))
+        assert commutator(a, a).is_zero()
+    assert calls == {"packed": 3}
+
+
+def test_dense_non_square_product_takes_the_packed_path():
+    a_rows, b_rows = _dense_rows(QQ, 7, 9, 3), _dense_rows(QQ, 9, 5, 4)
+    with kernel_path() as calls:
+        assert_matches(build(QQ, a_rows) @ build(QQ, b_rows), QQ, ref_matmul(QQ, a_rows, b_rows))
+    assert calls == {"packed": 1}
+
+
+def test_products_with_few_terms_per_entry_take_the_dict_path():
+    # the sharp witness has about one term per output entry, and a dense 10 x 10 factor times
+    # one with half its rows empty has 5, though its inner dimension would allow 10
+    n = 32
+    mats = sharp_witness(n, 3, GF(37)).matrices
+    a_rows, b_rows = _dense_rows(QQ, 10, 10, 5), _dense_rows(QQ, 5, 10, 6) + [[0] * 10] * 5
+    with kernel_path() as calls:
+        assert commutator(mats[0], mats[n]) == elementary_matrix(n + 1, 1, 2, GF(37)).scale(-3)
+        assert_matches(build(QQ, a_rows) @ build(QQ, b_rows), QQ, ref_matmul(QQ, a_rows, b_rows))
+    assert calls == {"dict": 2}
+
+
+def test_commutator_entry_at_the_slot_bound():
+    # entry (2, 1) of ab - ba is -6: |-6| = 2 * inner * max|a| * max|b|, the most a packed slot must hold
+    a_rows = [[_canon(QQ, x) for x in row] for row in [[-1, 1, 1], [-1, 1, 1], [1, -1, 1]]]
+    b_rows = [[_canon(QQ, x) for x in row] for row in [[1, 1, -1], [-1, -1, 1], [-1, 1, 1]]]
+    assert assert_products_match(QQ, a_rows, b_rows).rows_list()[1][0] == -6

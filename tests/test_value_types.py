@@ -85,6 +85,21 @@ def test_equal_and_hashed_by_value(cls):
 
 
 @pytest.mark.parametrize("cls", PLAIN, ids=_ids(PLAIN))
+def test_a_value_equals_itself_without_reading_its_fields(cls, monkeypatch):
+    args, _, _ = PLAIN[cls]
+    value, twin = cls(*args()), cls(*args())
+
+    def unread(_):
+        raise AssertionError("the field key was read")
+
+    monkeypatch.setattr(cls, "_key", unread)
+    assert value == value and not value != value
+    monkeypatch.undo()
+    assert twin is not value
+    assert not value != twin and not twin != value
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=_ids(PLAIN))
 def test_another_class_with_equal_fields_is_not_equal(cls):
     args, _, _ = PLAIN[cls]
     other_class = type("Other" + cls.__name__, (cls,), {})
