@@ -4,18 +4,21 @@
 The survey runs one graph per isomorphism class: the labelled graph whose
 edge set, read as a bitmask over the vertex pairs in lexicographic order, is
 the smallest in its class (found by trying every vertex permutation).  For
-each class the search excludes small dimensions exhaustively over F_p and
-takes an upper bound from an explicit witness:
+each class the search excludes every dimension up to nu_upm analytically,
+where nu_upm is the largest k such that some induced subgraph on 2k vertices
+has exactly one perfect matching; it sweeps the dimensions from nu_upm + 1 up
+exhaustively over F_p and takes an upper bound from an explicit witness:
 
   * perfect matchings get the sharp (n+1)-dimensional construction;
   * every other graph gets the generic (m+1)-dimensional assignment
     M_v = E_{1,v+1} + sum over earlier neighbours u of E_{u+1,v+1},
     for which [M_u, M_v] is nonzero exactly on edges.
 
-Each vertex count ends with how many classes need each dimension, and the
-worst graph is compared against the proved window floor(m/2)+1 .. m+1.  The
-exit status is 1 when any class ends other than ``exact``, so a run whose
-search runs out of budget fails.
+Each class line ends with its bound nu_upm + 1.  Each vertex count ends with
+how many classes need each dimension and for how many the bound is attained,
+and the worst graph is compared against the proved window
+floor(m/2)+1 .. m+1.  The exit status is 1 when any class ends other than
+``exact``, so a run whose search runs out of budget fails.
 
 Usage: python3 scripts/min_dim_survey.py [--max-vertices 4] [--field Fp:2] [--budget 50000000]
 """
@@ -31,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from commrep.commgraph import Assignment, CommGraph, realizes  # noqa: E402
 from commrep.exactla import GF, FieldSpec, elementary_matrix, zeros  # noqa: E402
-from commrep.search import matching_lower_bound, min_realization_dim  # noqa: E402
+from commrep.search import min_realization_dim, unique_matching_bound  # noqa: E402
 from commrep.witness import sharp_witness  # noqa: E402
 
 
@@ -54,13 +57,12 @@ def generic_witness(graph: CommGraph, field) -> Assignment:
 def best_hint(graph: CommGraph, field) -> Assignment:
     if not graph.edges:
         return Assignment(tuple(zeros(1, 1, field) for _ in range(graph.vertex_count)))
-    bound = matching_lower_bound(graph)
-    if bound is not None:
-        # permute the canonical matching witness onto this graph's labeling
-        n = graph.vertex_count // 2
+    n, pairs = unique_matching_bound(graph)
+    if len(pairs) == len(graph.edges) and 2 * n == graph.vertex_count:
+        # the graph is its own unique perfect matching: permute the canonical matching witness onto it
         canonical = sharp_witness(n, 1, field)
         mats = [None] * graph.vertex_count
-        for i, (u, v) in enumerate(sorted(graph.edges)):
+        for i, (u, v) in enumerate(pairs):
             mats[u - 1] = canonical.matrices[i]
             mats[v - 1] = canonical.matrices[n + i]
         return Assignment(tuple(mats))
@@ -88,7 +90,7 @@ def survey(max_vertices: int, field, budget: int) -> int:
     total_open = 0
     print(f"graph survey over {field.name()}, one graph per isomorphism class, budget {budget} nodes per graph")
     for m in range(1, max_vertices + 1):
-        lows, ups = [], []
+        lows, ups, attained = [], [], 0
         t0 = time.time()
         for edges in isomorphism_classes(m):
             graph = CommGraph.make(m, edges)
@@ -97,12 +99,13 @@ def survey(max_vertices: int, field, budget: int) -> int:
             )
             lows.append(report.lower)
             ups.append(report.upper)
+            attained += report.upper == report.analytic_lower
             tag = (
                 f"exact {report.upper}"
                 if report.status == "exact"
                 else f"{report.status} [{report.lower}, {report.upper}]"
             )
-            print(f"  m={m} edges={edges or '[]'}: {tag}")
+            print(f"  m={m} edges={edges or '[]'}: {tag}  nu_upm+1={report.analytic_lower}")
         worst_low, worst_up = max(lows), max(ups)
         window = f"{m // 2 + 1} .. {m + 1}"
         needs = Counter(low for low, up in zip(lows, ups) if low == up)
@@ -112,6 +115,7 @@ def survey(max_vertices: int, field, budget: int) -> int:
             f"m={m}: {len(lows)} classes, "
             + ", ".join(f"{needs[r]} need {r}" for r in sorted(needs))
             + (f", {still_open} open" if still_open else "")
+            + f"; nu_upm + 1 attains the dimension for {attained}"
             + f"; worst graph needs {worst_low}"
             + ("" if worst_low == worst_up else f" .. {worst_up}")
             + f"; proved window for the worst graph: {window}"

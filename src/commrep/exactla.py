@@ -95,6 +95,13 @@ class _Value:
             return NotImplemented
         return self._key(self) == self._key(other)
 
+    def __ne__(self, other):  # defined, not inherited: object.__ne__ calls __eq__ through a slot wrapper
+        if other is self:
+            return False
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) != self._key(other)
+
     def __hash__(self):
         return hash(self._key(self))
 

@@ -14,14 +14,20 @@ domain empties.  A node is one representative tried at one vertex, and
 ``nodes`` (``nodes_explored`` in a report) counts them up to the first witness
 in representative order, or to the end of the sweep.  ``invertible_only``
 sweeps the classes with an invertible member A + cI and reports the first
-such member in c order.  ``min_realization_dim`` ascends r = 1, 2, ... on one
-node budget; a level is excluded only by a completed sweep or, for a perfect
-matching on 2n vertices, by the analytic bound n+1.
+such member in c order.
+
+``min_realization_dim`` excludes every level r <= k analytically, where k is
+the bound of ``unique_matching_bound``: an induced subgraph on 2k vertices with
+exactly one perfect matching forces dimension k + 1 (the paper's n + 1 for n
+disjoint pairs is the case of a perfect matching).  It then ascends
+r = k+1, k+2, ... on one node budget, and excludes a level there only by a
+completed sweep.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple, Optional
 
 from .commgraph import Assignment, CommGraph, assignment_to_json, graph_to_json, realizes
@@ -44,6 +50,7 @@ WITNESS_RULE = "first_in_representative_order"
 CLASS_CAP = 2 * 10**6  # refuse levels with more scalar-shift classes than this
 VERTEX_CAP = 1000  # refuse graphs with more vertices than this: the sweep's state grows with m^2
 _ROW_CACHE_BITS = 2**25  # cached rows of one (r, p) are dropped beyond this many bits
+_EXACT_BOUND_VERTICES = 12  # unique_matching_bound tries every vertex subset up to this many vertices
 
 
 class ExistsOutcome(NamedTuple):
@@ -63,20 +70,68 @@ class SearchReport(NamedTuple):
     upper: Optional[int]
     witness: Optional[Assignment]
     excluded: tuple  # of (r, method) pairs, method in {"exhaustive", "analytic"}
-    analytic_lower: Optional[int]
+    analytic_lower: int
     nodes_explored: int
 
 
-def matching_lower_bound(graph: CommGraph) -> Optional[int]:
-    """n+1 when the graph is a perfect matching on 2n vertices, else None.
+def unique_matching_bound(graph: CommGraph) -> tuple:
+    """(k, pairs): an induced subgraph H on 2k vertices whose only perfect matching is ``pairs``.
 
-    A family realizing n disjoint non-commuting pairs needs dimension at
-    least n+1; the bound applies to no other edge pattern here.
+    Every realization of the graph, over any field, has dimension at least
+    k + 1 (see the README), so the search excludes the levels below it with
+    no sweep.  Up to ``_EXACT_BOUND_VERTICES`` vertices k is nu_upm(G), the
+    largest such k: vertex subsets are tried from the largest size down, in
+    lexicographic order, each counting its perfect matchings up to 2.  Above
+    that H is grown greedily, which proves the bound it gives but may give
+    less.  The pairs are (u, w) with u < w, sorted.
     """
-    degrees = graph.degrees()
-    if degrees and all(d == 1 for d in degrees):
-        return graph.vertex_count // 2 + 1
-    return None
+    m = graph.vertex_count
+    adjacency = [0] * m  # bit w - 1 of entry u - 1: edge uw
+    for u, w in graph.edges:
+        adjacency[u - 1] |= 1 << (w - 1)
+        adjacency[w - 1] |= 1 << (u - 1)
+    if m > _EXACT_BOUND_VERTICES:
+        return _greedy_unique_matching(adjacency)
+    known = {0: ((),)}
+
+    def matchings(subset: int) -> tuple:
+        """At most two perfect matchings of the subgraph induced on ``subset``."""
+        if subset not in known:
+            low = subset & -subset
+            rest, found = subset ^ low, []
+            partners = adjacency[low.bit_length() - 1] & rest
+            while partners and len(found) < 2:
+                partner = partners & -partners
+                partners ^= partner
+                pair = (low.bit_length(), partner.bit_length())
+                found += [(pair,) + tail for tail in matchings(rest ^ partner)]
+            known[subset] = tuple(found[:2])
+        return known[subset]
+
+    for k in range(m // 2, 0, -1):
+        for vertices in itertools.combinations(range(m), 2 * k):
+            found = matchings(sum(1 << v for v in vertices))
+            if len(found) == 1:
+                return k, found[0]
+    return 0, ()
+
+
+def _greedy_unique_matching(adjacency: list) -> tuple:
+    """Take pairs (u, w) in vertex order, u with no neighbour among the vertices taken before.
+
+    Within the vertices taken up to a pair, w is u's only neighbour, so by
+    induction from the last pair every perfect matching of H pairs each u
+    with its w.  A perfect matching graph keeps all its pairs; an induced
+    matching is the case where no w has a taken neighbour either.
+    """
+    taken = 0
+    pairs = []
+    for u, row in enumerate(adjacency):
+        if not taken >> u & 1 and not row & taken and row:
+            partner = row & -row
+            taken |= 1 << u | partner
+            pairs.append(tuple(sorted((u + 1, partner.bit_length()))))
+    return len(pairs), tuple(sorted(pairs))
 
 
 def class_count(r: int, p: int) -> int:
@@ -236,7 +291,16 @@ def min_realization_dim(
     budget: int = 10**8,
     hint: Optional[Assignment] = None,
 ) -> SearchReport:
-    """Ascend r = 1..r_max, collecting exclusions and the first realization."""
+    """Ascend r = k+1..r_max, collecting exclusions and the first realization.
+
+    k is the bound of ``unique_matching_bound``.  Each r <= k is excluded as
+    ``"analytic"`` with no sweep and no node charged.  From k + 1 up, each
+    level is swept on what is left of the one node budget: a ``none`` level
+    is excluded as ``"exhaustive"``, a found witness (or a hint of dimension
+    at most r) ends the ascent, and a level the budget or the class cap
+    refuses becomes the reported lower bound.  A hint or witness below k + 1
+    would contradict the theorem and raises ``AssertionError``.
+    """
     if field.is_rationals:
         raise ValueError("exhaustive search needs a finite field")
     if r_max < 1:
@@ -266,12 +330,12 @@ def min_realization_dim(
             )
         upper, witness = hint.dimension, hint
 
-    analytic = matching_lower_bound(graph)
-    excluded = {}
+    analytic = unique_matching_bound(graph)[0] + 1
+    excluded = dict.fromkeys(range(1, analytic), "analytic")
     nodes_total = 0
     exceeded = False
 
-    for r in range(1, r_max + 1):
+    for r in range(analytic, r_max + 1):
         if upper is not None and r >= upper:
             break
         outcome = exists_realization(graph, field, r, mode, budget - nodes_total)
@@ -279,21 +343,16 @@ def min_realization_dim(
         if outcome.status == FOUND:
             upper, witness = r, outcome.witness
             break
-        if outcome.status == NONE:
-            excluded[r] = "exhaustive"
-        else:
+        if outcome.status != NONE:
             exceeded = True  # the budget or the class cap, not r_max, stopped the ascent
-            if analytic is None or r >= analytic:
-                break  # r cannot be excluded: it becomes the reported lower bound
-
-    for rr in range(1, analytic or 1):
-        excluded.setdefault(rr, "analytic")
+            break  # r cannot be excluded: it becomes the reported lower bound
+        excluded[r] = "exhaustive"
 
     lower = 1
     while lower in excluded:
         lower += 1
-    if upper is not None and analytic is not None and upper < analytic:
-        raise AssertionError("realization below the matching bound")
+    if upper is not None and upper < analytic:
+        raise AssertionError("realization below the unique-perfect-matching bound")
 
     status = STATUS_EXACT if upper == lower else STATUS_EXHAUSTED if exceeded else STATUS_BRACKET
 

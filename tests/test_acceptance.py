@@ -52,7 +52,7 @@ from commrep.modsplit import (
     counting_chain_check,
     is_triangularizable,
 )
-from commrep.search import min_realization_dim
+from commrep.search import NONE, exists_realization, min_realization_dim
 from commrep.witness import product_block_embedding, sharp_witness
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -245,8 +245,9 @@ def test_criterion_4_search_matches_analytic_bound():
         r1 = min_realization_dim(matching_graph(1), GF(2), r_max=3, budget=budget)
         assert r1.status == "exact"
         assert r1.lower == r1.upper == 2
-        assert dict(r1.excluded)[1] == "exhaustive"
+        assert dict(r1.excluded)[1] == "analytic"
         assert r1.analytic_lower == 2
+        assert exists_realization(matching_graph(1), GF(2), 1, budget=budget).status == NONE
 
         hint = sharp_witness(2, 1, GF(2))
         r2 = min_realization_dim(
@@ -255,8 +256,10 @@ def test_criterion_4_search_matches_analytic_bound():
         assert r2.status == "exact"
         assert r2.lower == r2.upper == 3
         excluded = dict(r2.excluded)
-        assert excluded[1] == "exhaustive" and excluded[2] == "exhaustive"
-        assert r2.analytic_lower == 3  # exhaustion matches the analytic bound
+        assert excluded[1] == "analytic" and excluded[2] == "analytic"
+        assert r2.analytic_lower == 3
+        for r in (1, 2):  # exhaustion matches the analytic bound
+            assert exists_realization(matching_graph(2), GF(2), r, budget=budget).status == NONE
         assert r2.nodes_explored <= budget
 
 

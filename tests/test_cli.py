@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from commrep.cli import WITNESS_N_CAP
+from commrep.commgraph import CommGraph
+from commrep.exactla import GF
 from commrep.modsplit import DIM_CAP
+from commrep.search import NONE, exists_realization
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -138,7 +141,11 @@ def test_search_matching_one(workdir):
     doc = payload(res)
     assert doc["status"] == "exact"
     assert doc["lower"] == doc["upper"] == 2
-    assert doc["excluded"] == [[1, "exhaustive"]]
+    assert doc["excluded"] == [[1, "analytic"]] and doc["analytic_lower"] == 2
+    # the analytic level is charged no node: the level-2 sweep alone takes 3
+    assert doc["nodes_explored"] == 3
+    # and a sweep of the analytic level confirms it
+    assert exists_realization(CommGraph.make(2, [(1, 2)]), GF(2), 1).status == NONE
     # the emitted witness is accepted by verify-graph
     wfile = _write(workdir, "w.json", doc["witness"])
     ver = run_cli("verify-graph", "--input", wfile, "--graph", graph)
@@ -147,12 +154,17 @@ def test_search_matching_one(workdir):
 
 def test_search_budget_exhaustion_exit_code(workdir):
     graph = _write(workdir, "m1.json", {"vertices": 2, "edges": [[1, 2]]})
+    # level 1 is excluded analytically, and the level-2 sweep needs 3 nodes
     res = run_cli(
         "search", "--graph", graph, "--field", "Fp:2", "--rmax", "2",
-        "--budget", "3",
+        "--budget", "2",
     )
     assert res.returncode == 3
-    assert payload(res)["status"] == "exhausted_budget"
+    doc = payload(res)
+    assert (doc["status"], doc["lower"], doc["nodes_explored"]) == ("exhausted_budget", 2, 2)
+    res = run_cli("search", "--graph", graph, "--field", "Fp:2", "--rmax", "2", "--budget", "3")
+    assert res.returncode == 0
+    assert (payload(res)["status"], payload(res)["nodes_explored"]) == ("exact", 3)
     # a zero budget is accepted, and exhausted on P4
     p4 = _write(workdir, "p4.json", {"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4]]})
     res = run_cli("search", "--graph", p4, "--field", "Fp:2", "--rmax", "3", "--budget", "0")

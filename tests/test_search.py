@@ -36,8 +36,8 @@ from commrep.search import (
     _Classes,
     class_count,
     exists_realization,
-    matching_lower_bound,
     min_realization_dim,
+    unique_matching_bound,
 )
 from commrep.witness import sharp_witness
 
@@ -57,10 +57,11 @@ def _brute_force_exists(graph, field, r):
 
 
 def test_matching_lower_bound_detection():
-    assert matching_lower_bound(matching_graph(1)) == 2
-    assert matching_lower_bound(matching_graph(3)) == 4
-    assert matching_lower_bound(CommGraph.make(3, [(1, 2), (2, 3)])) is None
-    assert matching_lower_bound(CommGraph.make(2, [])) is None
+    # a perfect matching is its own unique perfect matching; the path P3 has one on any of its edges
+    assert unique_matching_bound(matching_graph(1)) == (1, ((1, 2),))
+    assert unique_matching_bound(matching_graph(3)) == (3, ((1, 4), (2, 5), (3, 6)))
+    assert unique_matching_bound(CommGraph.make(3, [(1, 2), (2, 3)])) == (1, ((1, 2),))
+    assert unique_matching_bound(CommGraph.make(2, [])) == (0, ())
 
 
 def test_single_pair_needs_dimension_two():
@@ -110,14 +111,21 @@ def test_budget_exceeded_reported_distinctly():
     assert out.nodes == 10  # the node that would exceed the budget is not explored
 
 
+K4_K2 = CommGraph.make(6, [(1, 6), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+
+
 def test_one_node_budget_across_all_levels():
-    # the whole ascent for M2 over F_2 (levels 1 and 2 empty, 3 found) takes 30 nodes
-    full = min_realization_dim(matching_graph(2), GF(2), r_max=3)
-    assert (full.status, full.nodes_explored) == (STATUS_EXACT, 30)
-    for budget in range(0, 40):
-        report = min_realization_dim(matching_graph(2), GF(2), r_max=3, budget=budget)
-        assert report.nodes_explored == min(budget, 30)
-        assert report.status == (STATUS_EXACT if budget >= 30 else STATUS_EXHAUSTED)
+    # K4 u K2 over F_2: levels 1 and 2 are analytic (bound 3), level 3 is empty after 34,120 nodes,
+    # and level 4 has a witness 41 nodes further on; the swept levels share one budget
+    full = min_realization_dim(K4_K2, GF(2), r_max=4)
+    assert (full.status, full.lower, full.nodes_explored) == (STATUS_EXACT, 4, 34161)
+    assert full.excluded == ((1, "analytic"), (2, "analytic"), (3, "exhaustive"))
+    for budget in (0, 1, 34119, 34120, 34121, 34160, 34161, 34162, 10**8):
+        report = min_realization_dim(K4_K2, GF(2), r_max=4, budget=budget)
+        assert report.nodes_explored == min(budget, 34161)
+        assert report.status == (STATUS_EXACT if budget >= 34161 else STATUS_EXHAUSTED)
+        assert report.lower == (3 if budget < 34120 else 4)
+        assert report.excluded == full.excluded[: 2 if budget < 34120 else 3]
 
 
 def test_min_dim_edgeless_graph():
@@ -131,8 +139,9 @@ def test_min_dim_matching_one():
     report = min_realization_dim(matching_graph(1), GF(2), r_max=3)
     assert report.status == STATUS_EXACT
     assert report.lower == report.upper == 2
-    assert dict(report.excluded)[1] == "exhaustive"
+    assert dict(report.excluded)[1] == "analytic"
     assert report.analytic_lower == 2
+    assert exists_realization(matching_graph(1), GF(2), 1).status == NONE
 
 
 def test_min_dim_matching_two_with_hint():
@@ -141,9 +150,11 @@ def test_min_dim_matching_two_with_hint():
     assert report.status == STATUS_EXACT
     assert report.lower == report.upper == 3
     excluded = dict(report.excluded)
-    assert excluded[1] == "exhaustive" and excluded[2] == "exhaustive"
+    assert excluded[1] == "analytic" and excluded[2] == "analytic"
     assert report.analytic_lower == 3
     assert report.witness == hint
+    for r in (1, 2):
+        assert exists_realization(matching_graph(2), GF(2), r, budget=10**7).status == NONE
 
 
 def test_path_graph_realizable_in_dimension_two():
@@ -200,13 +211,13 @@ def test_invertible_only_mode():
 
 
 def test_exhaustive_exclusions_never_contradict_matching_bound():
-    for n in (1, 2):
-        report = min_realization_dim(
-            matching_graph(n), GF(2), r_max=n + 1, hint=sharp_witness(n, 1, GF(2))
-        )
+    # no level below the bound is swept, and every level from it up is
+    graphs = [matching_graph(1), matching_graph(2), K4_K2] + [g for m in (1, 2, 3, 4) for g in _labelled_graphs(m)]
+    for g in graphs:
+        report = min_realization_dim(g, GF(2), r_max=g.vertex_count + 1)
+        assert report.status == STATUS_EXACT
         for r, method in report.excluded:
-            if method == "exhaustive":
-                assert r <= n
+            assert method == ("analytic" if r < report.analytic_lower else "exhaustive"), (sorted(g.edges), r)
 
 
 def test_monotone_padding_preserves_realization():
@@ -225,11 +236,11 @@ def test_determinism_repeat_runs():
 
 @pytest.mark.parametrize("mode", [MODE_ALL, MODE_INVERTIBLE])
 def test_matching_two_over_f3_is_none_within_100_nodes(mode):
-    out = exists_realization(matching_graph(2), GF(3), 2, mode=mode, budget=100)
-    assert out.status == NONE
+    for r in (1, 2):
+        assert exists_realization(matching_graph(2), GF(3), r, mode=mode, budget=100).status == NONE
     report = min_realization_dim(matching_graph(2), GF(3), r_max=3, mode=mode, budget=10**4)
     assert report.status == STATUS_EXACT
-    assert report.excluded == ((1, "exhaustive"), (2, "exhaustive"))
+    assert report.excluded == ((1, "analytic"), (2, "analytic"))
     assert realizes(report.witness, matching_graph(2)).ok
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from commrep.certificate import VerificationResult
 from commrep.commgraph import Assignment, CommGraph, PairStatus, RealizationCheck
-from commrep.exactla import GF, QQ, FieldSpec, Matrix, matrix_from_rows
+from commrep.exactla import GF, QQ, FieldSpec, Matrix, _Value, matrix_from_rows
 from commrep.modsplit import CompositionReport, CountCheck, ModuleSpec
 from commrep.search import ExistsOutcome, SearchReport
 
@@ -97,6 +97,24 @@ def test_a_value_equals_itself_without_reading_its_fields(cls, monkeypatch):
     monkeypatch.undo()
     assert twin is not value
     assert not value != twin and not twin != value
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=_ids(PLAIN))
+def test_not_equal_is_the_base_s_own_and_passes_not_implemented_through(cls, monkeypatch):
+    # object.__ne__ would call __eq__ through a slot wrapper on every !=
+    assert cls.__ne__ is _Value.__ne__ and "__ne__" in _Value.__dict__
+    args, other, _ = PLAIN[cls]
+    value, twin, unequal = cls(*args()), cls(*args()), cls(*other())
+    subclass_value = type("Other" + cls.__name__, (cls,), {})(*args())
+    assert (value.__ne__(twin), value.__ne__(unequal)) == (False, True)
+    assert value.__ne__(object()) is NotImplemented and value.__ne__(subclass_value) is NotImplemented
+    assert value != 5 and value != subclass_value
+
+    def unread(_):
+        raise AssertionError("the field key was read")
+
+    monkeypatch.setattr(cls, "_key", unread)
+    assert value.__ne__(value) is False
 
 
 @pytest.mark.parametrize("cls", PLAIN, ids=_ids(PLAIN))
