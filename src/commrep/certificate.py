@@ -40,7 +40,7 @@ from .errors import FieldTooSmallError, PatternViolationError, json_int, json_li
 from .exactla import (
     FieldSpec,
     Matrix,
-    _integer_rows,
+    _integer_vector,
     _json_rows,
     _nonzero_row,
     _reduced_form,
@@ -182,26 +182,10 @@ def find_avoiding_vector(constraints: Sequence[Matrix], dim: int, field: FieldSp
 def _split_pairs(pairs) -> tuple:
     if not pairs:
         raise ValueError("need at least one pair")
-    mats = []
     for k, pair in enumerate(pairs):
         if len(pair) != 2:
             raise ValueError(f"pair {k} is not a 2-tuple")
-        mats.append((pair[0], pair[1]))
-    a_list = [p[0] for p in mats]
-    b_list = [p[1] for p in mats]
-    return a_list, b_list
-
-
-def _integer_vector(vec: Sequence, p) -> tuple:
-    """(ints, e): a vector of field scalars as integers over one scale e.
-
-    Over Q e is the lcm of the denominators and ints is e times the vector;
-    over F_p ints are the residues and e is 1.
-    """
-    if p is not None:
-        return [x % p for x in vec], 1
-    (ints,), e = _integer_rows([vec])
-    return ints, e
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def _pairing(alpha_int, w, p) -> int:
@@ -270,19 +254,13 @@ def build_certificate(pairs: Sequence) -> LowerBoundCertificate:
     """Construct the full certificate for pairs realizing the matching pattern."""
     a_list, b_list = _split_pairs(pairs)
     n = len(a_list)
-    first = a_list[0]
-    field, r = first.field, first.rows
-    for m in a_list + b_list:
-        if not m.is_square or m.rows != r:
-            raise ValueError("all pair matrices must be square of one dimension")
-        if m.field != field:
-            raise ValueError("all pair matrices must share one field")
+    assignment = Assignment(tuple(a_list + b_list))
+    field, r = assignment.field, assignment.dimension
     if field.is_prime_field and field.characteristic <= 2 * n + 1:
         raise FieldTooSmallError(
             f"certificate construction needs p > {2 * n + 1}, got p = {field.characteristic}"
         )
 
-    assignment = Assignment(tuple(a_list + b_list))
     check = realizes(assignment, matching_graph(n))
     if not check.ok:
         worst = check.violations[0]

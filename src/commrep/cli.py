@@ -13,7 +13,16 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CommrepError, GuardError, SchemaError, _decimal, field_characteristic, prime_characteristic
+from .errors import (
+    CommrepError,
+    GuardError,
+    SchemaError,
+    _decimal,
+    field_characteristic,
+    json_int,
+    json_object,
+    prime_characteristic,
+)
 
 # Each handler reads its first input document, then imports what it runs, so a
 # call loads only the modules its subcommand needs and a call refused on its
@@ -179,8 +188,11 @@ def cmd_search(ns):
 
 def cmd_split(ns):
     doc = _load_json(ns.module)
-    from .modsplit import composition_factor_dims, module_from_json, report_to_json
+    from .modsplit import _check_dim_cap, composition_factor_dims, module_from_json, report_to_json
 
+    # refuse a module above the cap before its generators are read and ranked
+    json_object(doc, ("field", "dim", "generators"), "module", ns.module)
+    _check_dim_cap(json_int(doc["dim"], 1, f"{ns.module}.dim"))
     spec = module_from_json(doc, ns.module)
     report = composition_factor_dims(spec)
     return report_to_json(report), 0

@@ -52,13 +52,6 @@ class CommGraph(_Value):
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
-    def degrees(self) -> list:
-        deg = [0] * (self.vertex_count + 1)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg[1:]
-
 
 def matching_graph(n: int) -> CommGraph:
     """n disjoint edges on 2n vertices: pair i is (i, n + i)."""
@@ -109,7 +102,7 @@ class RealizationCheck(NamedTuple):
     violations: tuple  # of PairStatus, exhaustive
 
 
-def _shifted_integer_rows(a: Matrix) -> dict:
+def _shifted_rows(a: Matrix) -> dict:
     """{row: {column: value}} of the nonzero entries of den (A - cI), all integers.
 
     c is the most common diagonal entry of A, so a scalar-plus-sparse matrix
@@ -229,7 +222,7 @@ def _components(partners: list):
 def noncommuting_pairs(matrices: Sequence[Matrix]) -> list:
     """One bitset per matrix: bit j of entry i is set when matrices i and j do not commute.
 
-    Each matrix is replaced by ``_shifted_integer_rows``, and only partners
+    Each matrix is replaced by ``_shifted_rows``, and only partners
     (``_partners``) are compared, one connected component of them at a time.
     In a component each row of every matrix is packed into one int of r slots
     of ``width`` bits, and the rows k of all members are stacked into one int
@@ -246,7 +239,7 @@ def noncommuting_pairs(matrices: Sequence[Matrix]) -> list:
     """
     m, r = len(matrices), matrices[0].rows
     p = matrices[0].field.characteristic
-    shifted = [_shifted_integer_rows(a) for a in matrices]
+    shifted = [_shifted_rows(a) for a in matrices]
     partners = _partners(shifted, r)
     noncommuting = [0] * m
     if not any(partners):

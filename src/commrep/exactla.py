@@ -22,7 +22,7 @@ and every numerator.  So every kernel (products, elimination, and in
 the certificate's vectors and its Gram matrix) runs on the stored ints, and
 the JSON writers write each entry from its stored int and ``den``.  A
 ``Fraction`` is formed only where a field scalar is returned: by the dense
-views, ``Matrix.apply``, ``kernel_basis`` and scalar coercion.  Products and
+views, null-space vectors over Q and scalar coercion.  Products and
 commutators share one integer pass, ``_products``: a commutator [a, b]
 accumulates ab - ba row by row, over the one denominator both products share.
 The pass sums few terms per output entry (sparse or small factors) in a dict
@@ -38,9 +38,9 @@ independent.  Over Q the rows are cleared of denominators and kept primitive
 with a positive pivot, so no fractions arise and basis entries stay bounded
 by minors of the input; over F_p they are residues with pivot 1.  Rank, kernel,
 inverse and invertibility read their answers off that reduced form; one
-null-space routine, ``_null_space``, serves ``kernel_basis`` and the residue
-rows of ``modsplit``'s Norton thetas, and module spinning (``modsplit.spin``)
-grows one basis with ``_insert_row`` row by row.
+null-space routine, ``_null_space``, serves the centralizers of ``search``
+and the residue rows of ``modsplit``'s Norton thetas, and module spinning
+(``modsplit.spin``) grows one basis with ``_insert_row`` row by row.
 """
 
 from __future__ import annotations
@@ -144,9 +144,6 @@ class FieldSpec(_Value):
     def zero(self) -> ScalarValue:
         return _Q_ZERO if self.is_rationals else 0
 
-    def one(self) -> ScalarValue:
-        return _Q_ONE if self.is_rationals else 1
-
     def scalar(self, x) -> ScalarValue:
         """Coerce ``x`` (int, Fraction, or "a" or "a/b" decimal string) to a canonical scalar."""
         # an exact int, or over Q an exact Fraction, is canonical once reduced; bool and other subclasses
@@ -202,10 +199,16 @@ def _nonzero_row(values) -> tuple:
     return tuple((j, x) for j, x in enumerate(values) if x)
 
 
-def _integer_rows(rows) -> tuple:
-    """(rows, m): rational rows times m, the lcm of all their denominators."""
-    m = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (m // x.denominator) for x in row] for row in rows], m
+def _integer_vector(vec: Sequence, p: Optional[int]) -> tuple:
+    """(ints, e): a vector of field scalars as integers over one scale e.
+
+    Over Q e is the lcm of the denominators and ints is e times the vector;
+    over F_p ints are the residues and e is 1.
+    """
+    if p is not None:
+        return [x % p for x in vec], 1
+    e = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (e // x.denominator) for x in vec], e
 
 
 def _row_sums(nonzero_rows: tuple, vec: Sequence[int], p: Optional[int]) -> list:
@@ -245,8 +248,8 @@ class Matrix(_Value):
     residues and ``den`` is 1; over Q ``den`` is the lcm of the entries'
     denominators, so no factor is common to it and every value.  That form
     is canonical, so equality and hashing compare matrices by value.  The
-    dense views ``entries``, ``row_values`` and ``rows_list`` hold field
-    scalars and are rebuilt on every call.
+    dense views ``entries`` and ``rows_list`` hold field scalars and are
+    rebuilt on every call.
     """
 
     _fields = ("field", "rows", "cols", "den", "nonzero_rows")
@@ -297,12 +300,6 @@ class Matrix(_Value):
             out += self._dense_row(row)
         return tuple(out)
 
-    def row_values(self, i: int) -> tuple:
-        """1-based row as a tuple."""
-        if not 1 <= i <= self.rows:
-            raise IndexError(f"row {i} outside 1..{self.rows}")
-        return tuple(self._dense_row(self.nonzero_rows[i - 1]))
-
     def rows_list(self) -> list:
         return [self._dense_row(row) for row in self.nonzero_rows]
 
@@ -311,14 +308,11 @@ class Matrix(_Value):
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check_same_shape(self, other: "Matrix"):
+    def _combine(self, other: "Matrix", sub: bool) -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-
-    def _combine(self, other: "Matrix", sub: bool) -> "Matrix":
-        self._check_same_shape(other)
         p = self.field.characteristic
         arows, brows, den = self.nonzero_rows, other.nonzero_rows, self.den
         if other.den != den:  # over Q only: bring both over the lcm of the denominators
@@ -372,24 +366,6 @@ class Matrix(_Value):
             for j, x in row:
                 buckets[j].append((i, x))
         return Matrix._sparse(self.field, self.cols, self.rows, tuple(tuple(b) for b in buckets), self.den)
-
-    def apply(self, vec: Sequence[ScalarValue]) -> tuple:
-        """Matrix-vector product A v, with v a length-``cols`` tuple.
-
-        Over Q the vector is scaled to integers by the lcm e of its
-        denominators; each row sum accumulates as an integer and a nonzero
-        one becomes the one fraction sum / (den e).
-        """
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        p = self.field.characteristic
-        if p is None:
-            (vec,), e = _integer_rows([vec])
-        sums = _row_sums(self.nonzero_rows, vec, p)
-        if p is not None:
-            return tuple(sums)
-        den = self.den * e
-        return tuple(Fraction(s, den) if s else _Q_ZERO for s in sums)
 
 
 # -- constructors ----------------------------------------------------------
@@ -638,17 +614,14 @@ def rank(a: Matrix) -> int:
     return len(_reduced_form(_integer_dense_rows(a), a.cols, a.field.characteristic)[1])
 
 
-def kernel_basis(a: Matrix) -> list:
-    """Basis of the right null space {v : Av = 0}; empty iff rank = cols.
+def _null_space(rows, width: int, p: Optional[int]) -> list:
+    """Basis of the right null space {v : Av = 0} of the matrix A with integer rows ``rows``.
 
+    The rows are integers over Q and residues over F_p, and the basis
+    vectors are field scalar tuples; it is empty iff A has rank ``width``.
     One basis vector per free column, with a 1 in that coordinate and 0 in
     every other free coordinate.
     """
-    return _null_space(_integer_dense_rows(a), a.cols, a.field.characteristic)
-
-
-def _null_space(rows, width: int, p: Optional[int]) -> list:
-    """``kernel_basis`` of the matrix with integer rows ``rows`` (residues over F_p), as scalar tuples."""
     basis, pivots = _reduced_form(rows, width, p)
     zero, one = (_Q_ZERO, _Q_ONE) if p is None else (0, 1)
     pivot_set = set(pivots)
@@ -674,8 +647,7 @@ def span_rank(vectors: Sequence[Sequence[ScalarValue]], field: FieldSpec) -> int
     for vec in vectors:
         if len(vec) != width:
             raise ValueError("ragged rows")
-        row = [field.scalar(x) for x in vec]
-        rows.append(_integer_rows([row])[0][0] if field.is_rationals else row)
+        rows.append(_integer_vector([field.scalar(x) for x in vec], field.characteristic)[0])
     if not width:
         raise ValueError("matrix dimensions must be positive")
     return len(_reduced_form(rows, width, field.characteristic)[1])

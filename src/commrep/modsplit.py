@@ -227,10 +227,14 @@ def _diagonal_block(c: Matrix, lo: int, hi: int) -> Matrix:
     return Matrix._sparse(c.field, hi - lo, hi - lo, rows)
 
 
+def _check_dim_cap(dim: int) -> None:
+    if dim > DIM_CAP:
+        raise GuardError(f"module dimension {dim} exceeds the cap {DIM_CAP}")
+
+
 def _factor_chain(spec: ModuleSpec):
     """The irreducible factors of ``spec`` in series order: (dimension, basis rows in spec's coordinates)."""
-    if spec.dim > DIM_CAP:
-        raise GuardError(f"module dimension {spec.dim} exceeds the cap {DIM_CAP}")
+    _check_dim_cap(spec.dim)
     field, d, p = spec.field, spec.dim, spec.field.characteristic
     budget = _Budget()
     # each piece is a module and its basis vectors, as rows in the coordinates of spec

@@ -9,7 +9,11 @@ splitter that ``commrep.modsplit`` replaced with Norton's test: the least
 submodule found by spinning every nonzero vector, and the composition factor
 dimensions read off by quotienting by it, both for p^dim <= 100.  The
 differential tests in ``test_elimination_oracle.py`` require the library to
-agree with them.
+agree with them.  Matrix-vector products (``matvec``) and null spaces
+(``kernel_basis``) are computed here from the dense rows, not with the
+library's integer row sums or its elimination, so the tests of ``spin``, the
+splitter's flag and the certificate's constraints that use them share no
+arithmetic with the code they check.
 """
 
 import itertools
@@ -18,6 +22,13 @@ from fractions import Fraction
 
 from commrep.exactla import matrix_from_rows
 from commrep.modsplit import ModuleSpec
+
+
+def matvec(a, vec):
+    """A v from the dense rows of ``a``, as field scalars (reduced mod p over F_p)."""
+    p = a.field.characteristic
+    sums = [sum(x * y for x, y in zip(row, vec)) for row in a.rows_list()]
+    return tuple(sums if p is None else (s % p for s in sums))
 
 
 def integer_rows(a):
@@ -113,7 +124,7 @@ def kernel_basis(a):
     basis = []
     for fc in (j for j in range(a.cols) if j not in pivot_cols):
         x = [field.zero()] * a.cols
-        x[fc] = field.one()
+        x[fc] = field.scalar(1)
         for pr, pc in reversed(pivots):
             row = m[pr]
             s = sum(row[j] * x[j] for j in range(pc + 1, a.cols))
@@ -128,14 +139,14 @@ def kernel_basis(a):
 
 def inverse_entries(a):
     """Row-major entries of the inverse by Gauss-Jordan, or None if singular."""
-    n = a.rows
+    n, dense = a.rows, a.rows_list()
     if a.field.is_rationals:
-        m = [list(a.row_values(i + 1)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        m = [dense[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         div = lambda x, y: x / y  # noqa: E731
         norm = lambda x: x  # noqa: E731
     else:
         p = a.field.characteristic
-        m = [list(a.row_values(i + 1)) + [int(i == j) for j in range(n)] for i in range(n)]
+        m = [dense[i] + [int(i == j) for j in range(n)] for i in range(n)]
         div = lambda x, y: x * pow(y, -1, p) % p  # noqa: E731
         norm = lambda x: x % p  # noqa: E731
     for col in range(n):
@@ -143,7 +154,7 @@ def inverse_entries(a):
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv_p = div(a.field.one(), m[col][col])
+        inv_p = div(1, m[col][col])
         m[col] = [norm(x * inv_p) for x in m[col]]
         for i in range(n):
             if i != col and norm(m[i][col]):
@@ -202,7 +213,7 @@ def spin(vector, spec):
     while queue:
         w = queue.pop()
         for g in spec.generators:
-            reduced = rref_insert(basis, pivots, g.apply(tuple(w)), p)
+            reduced = rref_insert(basis, pivots, matvec(g, w), p)
             if reduced is not None:
                 queue.append(reduced)
     return tuple(tuple(row) for row in basis)
@@ -234,7 +245,7 @@ def quotient_generators(spec, sub):
     for g in spec.generators:
         columns = []
         for c in free:
-            img = list(g.apply(tuple(int(i == c) for i in range(spec.dim))))
+            img = list(matvec(g, [int(i == c) for i in range(spec.dim)]))
             for row, pc in zip(sub, pivots):
                 head = img[pc]
                 if head:

@@ -234,15 +234,17 @@ def test_split_s3_module(workdir):
 
 
 def test_split_guard_exits_two(workdir):
-    # a dimension above the cap, and the companion matrix of x^20 + x^3 + 1 over F_2,
+    # a dimension above the cap, with an invertible and with a singular generator (refused
+    # before the generator is ranked), and the companion matrix of x^20 + x^3 + 1 over F_2,
     # whose field of 2^20 elements has more points than the split budget allows
     def module(dim, rows):
         entries = [str(x) for row in rows for x in row]
         return {"field": "Fp:2", "dim": dim, "generators": [{"field": "Fp:2", "rows": dim, "cols": dim, "entries": entries}]}
 
     eye = [[int(i == j) for j in range(DIM_CAP + 1)] for i in range(DIM_CAP + 1)]
+    singular = [[0] * (DIM_CAP + 1) for _ in range(DIM_CAP + 1)]
     companion = [[int(i == j + 1) if j < 19 else int(i in (0, 3)) for j in range(20)] for i in range(20)]
-    for dim, rows in ((DIM_CAP + 1, eye), (20, companion)):
+    for dim, rows in ((DIM_CAP + 1, eye), (DIM_CAP + 1, singular), (20, companion)):
         res = run_cli("split", "--module", _write(workdir, "m.json", module(dim, rows)))
         assert res.returncode == 2
         assert payload(res)["error"]["code"] == "guard_violation"

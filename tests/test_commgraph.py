@@ -52,7 +52,8 @@ def test_matching_graph_examples():
     assert g2.vertex_count == 4 and g2.sorted_edges() == [(1, 3), (2, 4)]
     g3 = matching_graph(3)
     assert len(g3.sorted_edges()) == 3
-    assert max(g3.degrees()) == 1
+    # every vertex lies on exactly one edge
+    assert sorted(v for e in g3.edges for v in e) == list(range(1, 7))
 
 
 def test_realizes_single_edge_over_f2():

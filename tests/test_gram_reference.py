@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 
 from commrep.certificate import (
     _gram_entries,
-    _integer_vector,
     build_certificate,
     pairs_from_assignment,
     verify_certificate,
 )
 from commrep.commgraph import Assignment
-from commrep.exactla import GF, QQ, matrix_from_rows
+from commrep.exactla import GF, QQ, _integer_vector, matrix_from_rows
 from commrep.witness import sharp_witness
 
 from conftest import big_fractions, small_fractions

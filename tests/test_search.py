@@ -18,7 +18,6 @@ from commrep.exactla import (
     commutator,
     identity,
     is_invertible,
-    kernel_basis,
     matrix_from_rows,
     zeros,
 )
@@ -42,6 +41,7 @@ from commrep.search import (
 from commrep.witness import sharp_witness
 
 import reference_search
+from reference_elimination import kernel_basis
 
 
 def _brute_force_exists(graph, field, r):
@@ -299,7 +299,7 @@ def test_commuting_rows_match_brute_force(r, p, count, step):
 
 @pytest.mark.parametrize("r, p", [(2, 2), (2, 3), (3, 2)])
 def test_commuting_rows_match_the_kernel_basis_path(monkeypatch, r, p):
-    # oracle: each centralizer kernel taken through a coerced Matrix and kernel_basis, as rows once took it
+    # oracle: each centralizer kernel taken through a coerced Matrix and the reference kernel_basis
     def kernel_of_matrix(rows, width, p):
         return kernel_basis(matrix_from_rows(GF(p), rows))
 
