@@ -266,8 +266,7 @@ def build_certificate(pairs: Sequence) -> LowerBoundCertificate:
         worst = check.violations[0]
         raise PatternViolationError(
             f"pairs do not realize the {n}-pair matching pattern; "
-            f"first violating pair ({worst.u}, {worst.v})",
-            check.violations,
+            f"first violating pair ({worst.u}, {worst.v})"
         )
 
     z = tuple(commutator(a, b) for a, b in zip(a_list, b_list))

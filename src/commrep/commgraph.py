@@ -49,9 +49,6 @@ class CommGraph(_Value):
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
 
 def matching_graph(n: int) -> CommGraph:
     """n disjoint edges on 2n vertices: pair i is (i, n + i)."""
@@ -314,7 +311,7 @@ def realizes(assignment: Assignment, graph: CommGraph) -> RealizationCheck:
 
 
 def graph_to_json(g: CommGraph) -> dict:
-    return {"vertices": g.vertex_count, "edges": [list(e) for e in g.sorted_edges()]}
+    return {"vertices": g.vertex_count, "edges": [list(e) for e in sorted(g.edges)]}
 
 
 def graph_from_json(doc, path: str = "graph") -> CommGraph:

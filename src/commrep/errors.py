@@ -9,7 +9,8 @@ Every reader of an input document (``*_from_json``) checks its shape with
 ``json_object``, ``json_list`` and ``json_int`` and raises only
 ``SchemaError``, whose message starts with the JSON path of the first fault.
 Every decimal string, in a document or on the command line, is read by
-``_decimal``, and every field name by ``field_characteristic``.
+``_decimal``, and every field name by ``field_characteristic``, the one check
+of a field name: it accepts "Q" and "Fp:<p>" for a prime p below 2^78.
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ def _decimal(text: str) -> int | None:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all of _MR_BASES is 318665857834031151167461 > 2^78
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_CHARACTERISTIC_BITS = 78
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs we accept."""
+    """Miller-Rabin on the bases 2..37: exact below the pseudoprime above, so for every n < 2^78."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -104,7 +108,9 @@ def is_prime(n: int) -> bool:
 
 
 def prime_characteristic(p):
-    """``p`` if it is None (the rationals) or a prime int; ValueError otherwise."""
+    """``p`` if it is None (the rationals) or a prime int below 2^78; ValueError otherwise."""
+    if isinstance(p, int) and p >= 1 << _CHARACTERISTIC_BITS:
+        raise ValueError(f"characteristic must be below 2^{_CHARACTERISTIC_BITS}, got {p}")
     if p is not None and not (isinstance(p, int) and is_prime(p)):
         raise ValueError(f"characteristic must be a prime >= 2, got {p!r}")
     return p
@@ -113,8 +119,8 @@ def prime_characteristic(p):
 def field_characteristic(name) -> int | None:
     """The characteristic a field name spells: None for "Q", p for "Fp:<p>".
 
-    Any other name raises ValueError; ``prime_characteristic`` checks that p
-    is prime.  The CLI checks ``--field`` with both before it imports any
+    Any other name, and a p that ``prime_characteristic`` refuses, raises
+    ValueError.  The CLI checks ``--field`` with it before it imports any
     library module.
     """
     if name == "Q":
@@ -123,7 +129,7 @@ def field_characteristic(name) -> int | None:
         p = _decimal(name[3:])
         if p is None or name[3] in "-0":
             raise ValueError(f"bad field name {name!r}")
-        return p
+        return prime_characteristic(p)
     raise ValueError(f"bad field name {name!r} (expected 'Q' or 'Fp:<prime>')")
 
 
@@ -139,10 +145,6 @@ class PatternViolationError(CommrepError):
 
     code = "pattern_violation"
     exit_code = 2
-
-    def __init__(self, message, violations=()):
-        self.violations = tuple(violations)
-        super().__init__(message)
 
 
 class GuardError(CommrepError):

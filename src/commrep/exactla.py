@@ -137,7 +137,7 @@ class FieldSpec(_Value):
     @staticmethod
     def from_name(name: str) -> "FieldSpec":
         p = field_characteristic(name)
-        return QQ if p is None else GF(p)
+        return QQ if p is None else FieldSpec._make(characteristic=p)
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -188,10 +188,7 @@ def GF(p: int) -> FieldSpec:
 def dot(u: Sequence[ScalarValue], v: Sequence[ScalarValue], field: FieldSpec) -> ScalarValue:
     if len(u) != len(v):
         raise ValueError("dot: length mismatch")
-    s = sum(a * b for a, b in zip(u, v))
-    if field.is_prime_field:
-        return s % field.characteristic
-    return Fraction(s)
+    return field.scalar(sum(a * b for a, b in zip(u, v)))
 
 
 def _nonzero_row(values) -> tuple:
@@ -642,15 +639,7 @@ def span_rank(vectors: Sequence[Sequence[ScalarValue]], field: FieldSpec) -> int
     """Dimension of the span of equal-length vectors over ``field``."""
     if not vectors:
         raise ValueError("need at least one vector")
-    width = len(vectors[0])
-    rows = []
-    for vec in vectors:
-        if len(vec) != width:
-            raise ValueError("ragged rows")
-        rows.append(_integer_vector([field.scalar(x) for x in vec], field.characteristic)[0])
-    if not width:
-        raise ValueError("matrix dimensions must be positive")
-    return len(_reduced_form(rows, width, field.characteristic)[1])
+    return rank(matrix_from_rows(field, vectors))
 
 
 def is_invertible(a: Matrix) -> bool:

@@ -49,18 +49,11 @@ def product_block_embedding(factors: Sequence[Sequence[Matrix]]) -> list:
     """
     if not factors or any(not gens for gens in factors):
         raise ValueError("each factor needs at least one generator")
-    field = factors[0][0].field
-    dims = []
     for gens in factors:
-        d = gens[0].rows
-        for g in gens:
-            if g.field != field:
-                raise ValueError("field mismatch across factors")
-            if not g.is_square or g.rows != d:
-                raise ValueError("generators of one factor must share a dimension")
-        dims.append(d)
-    if len(factors) == 1:
-        return list(factors[0])
+        if len({(g.field, g.rows) for g in gens}) > 1:
+            raise ValueError("generators of one factor must share a field and a dimension")
+    field = factors[0][0].field
+    dims = [gens[0].rows for gens in factors]
     images = []
     for slot, gens in enumerate(factors):
         for g in gens:

@@ -44,7 +44,6 @@ from commrep.exactla import (
     inverse,
     is_invertible,
     matrix_from_rows,
-    span_rank,
 )
 from commrep.modsplit import (
     ModuleSpec,
@@ -54,6 +53,7 @@ from commrep.modsplit import (
 )
 from commrep.search import NONE, exists_realization, min_realization_dim
 from commrep.witness import product_block_embedding, sharp_witness
+from reference_elimination import rank as reference_rank
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -97,7 +97,7 @@ def test_criterion_2_certificate_sharpness():
             assert cert.concluded_bound == n + 1 == cert.r
             assert verify_certificate(cert, pairs).ok
             flat = [identity(n + 1, QQ).entries] + [m.entries for m in w.matrices]
-            assert span_rank(flat, QQ) == 2 * n + 1
+            assert reference_rank(matrix_from_rows(QQ, flat)) == 2 * n + 1
 
 
 def _corruption_schemas():
@@ -105,6 +105,10 @@ def _corruption_schemas():
         if field.is_rationals:
             return Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2])) * rng.choice([1, -1])
         return rng.randrange(1, field.characteristic)
+
+    def times(vec, c, field):
+        p = field.characteristic
+        return tuple(x * c if p is None else x * c % p for x in vec)
 
     def unit_not_one(field, rng):
         if field.is_rationals:
@@ -124,7 +128,7 @@ def _corruption_schemas():
         rows = cert.gram.rows_list()
         i = rng.randrange(2 * cert.n)
         j = rng.randrange(2 * cert.n)
-        rows[i][j] = cert.field.add(rows[i][j], delta(cert.field, rng))
+        rows[i][j] += delta(cert.field, rng)  # matrix_from_rows reduces the sum mod p
         return (
             replace(cert, gram=matrix_from_rows(cert.field, rows)),
             REASON_GRAM_MISMATCH,
@@ -178,7 +182,7 @@ def _corruption_schemas():
         # the recomputed pairing entries all scale by a unit != 1, so the
         # stored gram (nonzero on the checkerboard) can no longer match
         c = unit_not_one(cert.field, rng)
-        v = tuple(cert.field.mul(x, c) for x in cert.v)
+        v = times(cert.v, c, cert.field)
         return replace(cert, v=v), REASON_GRAM_MISMATCH, {REASON_GRAM_MISMATCH}
 
     def corrupt_alpha_zero(cert, rng):
@@ -191,7 +195,7 @@ def _corruption_schemas():
 
     def corrupt_alpha_scale(cert, rng):
         c = unit_not_one(cert.field, rng)
-        alpha = tuple(cert.field.mul(x, c) for x in cert.alpha)
+        alpha = times(cert.alpha, c, cert.field)
         return replace(cert, alpha=alpha), REASON_GRAM_MISMATCH, {REASON_GRAM_MISMATCH}
 
     return [

@@ -65,8 +65,10 @@ def test_witness_rejects_zero_lambda():
 
 
 def test_bad_field_name_is_usage_error():
-    res = run_cli("witness", "--n", "1", "--lambda", "2", "--field", "Fp:4")
-    assert res.returncode == 1
+    for field in ("Fp:4", "Fp:318665857834031151167461"):  # composite, and a strong pseudoprime to bases 2..37
+        res = run_cli("witness", "--n", "1", "--lambda", "2", "--field", field)
+        assert res.returncode == 1
+        assert payload(res)["error"]["code"] == "usage"
 
 
 def test_unknown_subcommand_exits_one():
@@ -309,12 +311,15 @@ _CERT = {"field": "Q", "n": 1, "r": 2, "v": [["0", "1"], ["1", "1"]], "alpha": [
          [{"vertices": 10**9, "edges": []}], 2, "guard_violation"),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
          [{"matrices": [dict(_ONE, entries=[[" 1_000 ", "+2"]])]}, {"vertices": 1, "edges": []}], 1, "schema"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": [dict(_ONE, field="Fp:318665857834031151167461", entries=["1"])]},
+          {"vertices": 1, "edges": []}], 1, "schema"),
     ],
     ids=["cert-n-zero", "cert-image-rank-true", "matrix-rows-true", "graph-vertices-true", "dims-entry-true",
          "dims-rows-ragged", "dims-entry-string",
          "lambda-zero-denominator-q", "lambda-zero-denominator-fp", "nesting-too-deep", "not-utf8",
          "number-too-long", "matrix-field-not-string", "module-field-not-string", "cert-field-not-string",
-         "search-vertices-above-cap", "scalar-not-decimal"],
+         "search-vertices-above-cap", "scalar-not-decimal", "matrix-field-pseudoprime"],
 )
 def test_json_booleans_and_empty_certificate_are_typed_errors(workdir, command, files, exit_code, code):
     paths = {name: _write(workdir, f"{name}.json", doc) for name, doc in zip("ab", files)}

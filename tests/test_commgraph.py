@@ -47,11 +47,11 @@ def test_graph_validation():
 
 def test_matching_graph_examples():
     g1 = matching_graph(1)
-    assert g1.vertex_count == 2 and g1.sorted_edges() == [(1, 2)]
+    assert g1.vertex_count == 2 and sorted(g1.edges) == [(1, 2)]
     g2 = matching_graph(2)
-    assert g2.vertex_count == 4 and g2.sorted_edges() == [(1, 3), (2, 4)]
+    assert g2.vertex_count == 4 and sorted(g2.edges) == [(1, 3), (2, 4)]
     g3 = matching_graph(3)
-    assert len(g3.sorted_edges()) == 3
+    assert len(g3.edges) == 3
     # every vertex lies on exactly one edge
     assert sorted(v for e in g3.edges for v in e) == list(range(1, 7))
 

@@ -18,6 +18,7 @@ from commrep.exactla import (
     _null_space,
     block_diagonal,
     commutator,
+    dot,
     elementary_matrix,
     identity,
     inverse,
@@ -33,7 +34,7 @@ from commrep.exactla import (
 from commrep.errors import SchemaError, is_prime
 
 from conftest import big_fractions, matrix_pair, square_matrix
-from reference_elimination import matvec
+from reference_elimination import matvec, rank as reference_rank
 
 
 def F(x):
@@ -50,8 +51,9 @@ def test_field_equality_and_names():
     assert QQ != GF(2)
     assert FieldSpec.from_name("Q") == QQ
     assert FieldSpec.from_name("Fp:13") == GF(13)
+    assert FieldSpec.from_name("Fp:302231454903657293676533") == GF(302231454903657293676533)  # below 2^78
     assert GF(13).name() == "Fp:13"
-    for bad in (None, 7, ["Q"], {"Fp": 2}, "Fp:4", "F2"):
+    for bad in (None, 7, ["Q"], {"Fp": 2}, "Fp:4", "F2", "Fp:318665857834031151167461"):
         with pytest.raises(ValueError):
             FieldSpec.from_name(bad)
 
@@ -245,8 +247,16 @@ def test_kernel_vectors_annihilate_and_are_independent(a):
     for v in basis:
         assert not any(matvec(a, v))
     if basis:
-        assert span_rank(basis, a.field) == len(basis)
-    assert len(basis) == a.cols - rank(a)
+        assert reference_rank(matrix_from_rows(a.field, basis)) == len(basis)
+    assert len(basis) == a.cols - reference_rank(a)
+
+
+def test_dot_examples():
+    assert dot([F("1/2"), 3], [4, F("1/3")], QQ) == 3 and type(dot([1], [3], QQ)) is Fraction
+    assert dot([], [], QQ) == 0 and type(dot([], [], QQ)) is Fraction
+    assert dot([3, 4], [5, 6], GF(7)) == 4 and type(dot([3], [5], GF(7))) is int
+    with pytest.raises(ValueError, match="length mismatch"):
+        dot([1], [1, 2], QQ)
 
 
 def test_span_rank_examples():

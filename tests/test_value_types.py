@@ -190,14 +190,19 @@ def test_record_defaults_and_truth():
     [
         (lambda: FieldSpec(4), "characteristic must be a prime >= 2, got 4"),
         (lambda: FieldSpec("5"), "characteristic must be a prime >= 2, got '5'"),
+        # a strong pseudoprime to the Miller-Rabin bases 2..37, and a Mersenne prime
+        (lambda: FieldSpec(318665857834031151167461),
+         "characteristic must be below 2^78, got 318665857834031151167461"),
+        (lambda: FieldSpec(2**89 - 1), "characteristic must be below 2^78, got 618970019642690137449562111"),
         (lambda: CommGraph(2, frozenset({(1, 1)})), "self-loop at 1"),
         (lambda: CommGraph(2, frozenset({(1, 3)})), "edge (1, 3) outside 1..2"),
         (lambda: Assignment(()), "assignment must be nonempty"),
         (lambda: Assignment((_one(), _one(F3))), "uniform dimension and field required"),
         (lambda: ModuleSpec(F2, 2, (matrix_from_rows(F2, [[1, 0], [1, 0]]),)), "generators must be invertible"),
     ],
-    ids=["field-not-prime", "field-not-int", "graph-self-loop", "graph-edge-outside", "assignment-empty",
-         "assignment-mixed-fields", "module-singular-generator"],
+    ids=["field-not-prime", "field-not-int", "field-pseudoprime-above-bound", "field-prime-above-bound",
+         "graph-self-loop", "graph-edge-outside", "assignment-empty", "assignment-mixed-fields",
+         "module-singular-generator"],
 )
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as info:

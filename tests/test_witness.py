@@ -16,9 +16,9 @@ from commrep.exactla import (
     identity,
     is_invertible,
     matrix_from_rows,
-    span_rank,
 )
 from commrep.witness import product_block_embedding, sharp_witness
+from reference_elimination import rank as reference_rank
 
 LAMBDAS = [Fraction(2), Fraction(-1), Fraction(1, 2)]
 
@@ -78,7 +78,7 @@ def test_lambda_zero_rejected():
 def test_flattened_family_is_independent(n, lam):
     w = sharp_witness(n, lam, QQ)
     vectors = [identity(n + 1, QQ).entries] + [m.entries for m in w.matrices]
-    assert span_rank(vectors, QQ) == 2 * n + 1
+    assert reference_rank(matrix_from_rows(QQ, vectors)) == 2 * n + 1
 
 
 def test_invertibility_iff_lambda_not_one():
@@ -144,5 +144,13 @@ def test_embedding_preserves_multiplication_tables():
 
 
 def test_embedding_field_mismatch():
-    with pytest.raises(ValueError):
-        product_block_embedding([_sl2_pair(QQ), _sl2_pair(GF(2))])
+    non_square = matrix_from_rows(QQ, [[1, 0, 0], [0, 1, 0]])
+    for factors in (
+        [_sl2_pair(QQ), _sl2_pair(GF(2))],
+        [_sl2_pair(QQ)[:1] + _sl2_pair(GF(2))[1:]],
+        [_sl2_pair(QQ), [non_square]],
+        [[non_square]],
+        [_sl2_pair(QQ) + [identity(3, QQ)]],
+    ):
+        with pytest.raises(ValueError):
+            product_block_embedding(factors)
