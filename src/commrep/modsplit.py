@@ -24,8 +24,8 @@ kernel.  Two-dimensional modules over F_2 and F_3 often have an F_4 or F_9
 endomorphism field, and a lone companion matrix of an irreducible
 polynomial spans a field of its own.
 
-A submodule splits the module into itself and the quotient, read off the
-diagonal blocks after a change of basis that extends a submodule basis.
+A submodule splits the module into itself and the quotient, whose actions
+are read off the submodule's reduced echelon basis, with no change of basis.
 Both are split again, from an explicit stack, and the basis vectors of the
 irreducible pieces, in order, form the flag basis.  A module above
 ``DIM_CAP`` or a split that needs more than ``SPLIT_BUDGET`` kernels and
@@ -117,8 +117,8 @@ def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
     """Canonical RREF basis of the smallest invariant subspace containing ``vector``.
 
     A piece met while splitting is a ``ModuleSpec`` built by ``_make``: its
-    generators are diagonal blocks of conjugated invertible generators, or
-    their transposes, so they are not checked again.  Each generator image
+    generators are invertible generators acting on a submodule or quotient,
+    or their transposes, so they are not checked again.  Each generator image
     is one ``_row_sums`` of the generator's stored residue rows.
     """
     p, dim = spec.field.characteristic, spec.dim
@@ -221,10 +221,11 @@ def _submodule(spec: ModuleSpec, budget: _Budget) -> Optional[Sequence]:
     return _null_space(annihilated, d, p)
 
 
-def _diagonal_block(c: Matrix, lo: int, hi: int) -> Matrix:
-    """Rows and columns lo..hi-1 of ``c``."""
-    rows = tuple(tuple((j - lo, x) for j, x in row if lo <= j < hi) for row in c.nonzero_rows[lo:hi])
-    return Matrix._sparse(c.field, hi - lo, hi - lo, rows)
+def _block(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
+    """The entries of ``m`` in ``rows`` and increasing ``cols``, renumbered in that order."""
+    at = {j: n for n, j in enumerate(cols)}
+    picked = tuple(tuple((at[j], x) for j, x in m.nonzero_rows[i] if j in at) for i in rows)
+    return Matrix._sparse(m.field, len(rows), len(cols), picked)
 
 
 def _check_dim_cap(dim: int) -> None:
@@ -247,23 +248,18 @@ def _factor_chain(spec: ModuleSpec):
             continue
         k = piece.dim
         basis, pivots = _reduced_form([list(row) for row in sub], k, p)
-        w = len(basis)
-        columns = basis + [[int(i == j) for i in range(k)] for j in range(k) if j not in pivots]
-        change_t = Matrix._sparse(field, k, k, tuple(_nonzero_row(c) for c in columns))
-        change = change_t.transpose()
-        change_inv = inverse(change)
-        conjugated = [change_inv @ g @ change for g in piece.generators]
-        for c in conjugated:  # invariance shows up as a zero lower-left block
-            assert all(
-                j >= w for row in c.nonzero_rows[w:] for j, _ in row
-            ), "submodule basis failed to block-triangularize"
-        submodule = ModuleSpec._make(
-            field=field, dim=w, generators=tuple(_diagonal_block(c, 0, w) for c in conjugated))
-        quotient = ModuleSpec._make(
-            field=field, dim=k - w, generators=tuple(_diagonal_block(c, w, k) for c in conjugated))
-        moved = (change_t @ vectors).nonzero_rows
-        stack.append((quotient, Matrix._sparse(field, k - w, d, moved[w:])))
-        stack.append((submodule, Matrix._sparse(field, w, d, moved[:w])))
+        w, free = len(basis), [j for j in range(k) if j not in pivots]
+        b = Matrix._sparse(field, w, k, tuple(_nonzero_row(row) for row in basis))
+        bt = b.transpose()
+        images = [g @ bt for g in piece.generators]  # x in the submodule is sum_i x[pivots[i]] basis[i]
+        actions = tuple(_block(image, pivots, range(w)) for image in images)
+        assert all(m == bt @ u for m, u in zip(images, actions)), "submodule basis failed to block-triangularize"
+        free_bt = _block(bt, free, range(w))  # the quotient is spanned by the unit vectors at the free columns
+        quotient_actions = tuple(_block(g, free, free) - free_bt @ _block(g, pivots, free) for g in piece.generators)
+        submodule = ModuleSpec._make(field=field, dim=w, generators=actions)
+        quotient = ModuleSpec._make(field=field, dim=k - w, generators=quotient_actions)
+        stack.append((quotient, _block(vectors, free, range(d))))
+        stack.append((submodule, b @ vectors))
 
 
 def _verified_report(spec: ModuleSpec, factors: list) -> CompositionReport:

@@ -20,6 +20,7 @@ from commrep.modsplit import (
     composition_factor_dims,
     counting_chain_check,
     is_triangularizable,
+    report_to_json,
     spin,
 )
 from commrep.witness import product_block_embedding
@@ -279,6 +280,67 @@ def test_sl2_f5_power_splits_into_planes(n):
     report = composition_factor_dims(spec)
     assert time.perf_counter() - start < 1.0
     assert report.factor_dims == (2,) * n
+
+
+def _module(p, generators):
+    field = GF(p)
+    return ModuleSpec(field, len(generators[0]), tuple(matrix_from_rows(field, g) for g in generators))
+
+
+# planted block-upper-triangular modules, each conjugated by a fixed change of basis.  Both take
+# both splitting branches of _submodule: the whole module splits on a spun submodule, and a
+# 3-dimensional piece of it on an annihilator kernel; every other piece is irreducible.
+_PLANTED_F2 = _module(2, [
+    [[1, 0, 0, 1, 1], [1, 1, 0, 1, 1], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1], [0, 1, 0, 0, 1]],
+    [[1, 0, 1, 1, 1], [1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [1, 1, 0, 0, 1], [0, 1, 1, 0, 1]],
+])
+_PLANTED_F3 = _module(3, [
+    [[1, 1, 2, 2], [1, 0, 0, 1], [1, 0, 0, 0], [1, 0, 2, 0]],
+    [[0, 0, 2, 0], [2, 2, 1, 0], [1, 1, 0, 1], [2, 0, 1, 2]],
+])
+
+
+def _report_doc(p, factor_dims, series, flag_entries):
+    d = series[-1]
+    return {
+        "factor_dims": factor_dims,
+        "series": series,
+        "flag_basis": {"field": f"Fp:{p}", "rows": d, "cols": d, "entries": [str(x) for x in flag_entries]},
+        "base_field_only": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (_s3_module(), _report_doc(2, [1, 2], [0, 1, 3], [1, 0, 0, 1, 1, 0, 1, 0, 1])),
+        (_PLANTED_F2, _report_doc(2, [2, 1, 2], [0, 2, 3, 5], [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0,
+                                                               1, 1, 0, 1, 0, 1, 0, 0, 0, 1])),
+        (_PLANTED_F3, _report_doc(3, [1, 2, 1], [0, 1, 3, 4], [1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 2, 0, 1])),
+    ],
+    ids=["s3", "planted-f2", "planted-f3"],
+)
+def test_split_output_is_pinned(spec, expected):
+    # the flag basis, the series and the factor order, not only the multiset of dimensions
+    assert report_to_json(composition_factor_dims(spec)) == expected
+
+
+def test_non_invariant_submodule_fails_the_split_check(monkeypatch):
+    # span{e_1} is not invariant: the 3-cycle moves e_1 to e_2
+    def first_split_on_a_line(piece, budget, submodule=modsplit._submodule):
+        return ((1, 0, 0),) if piece.dim == 3 else submodule(piece, budget)
+
+    monkeypatch.setattr(modsplit, "_submodule", first_split_on_a_line)
+    with pytest.raises(AssertionError, match="submodule basis failed to block-triangularize"):
+        composition_factor_dims(_s3_module())
+
+
+def test_factors_out_of_order_fail_the_flag_check():
+    spec = _s3_module()
+    factors = list(modsplit._factor_chain(spec))
+    assert [dim for dim, _ in factors] == [1, 2]
+    with pytest.raises(AssertionError, match="flag basis is not block-upper-triangular"):
+        modsplit._verified_report(spec, factors[::-1])
 
 
 # -- counting chain ---------------------------------------------------------------
