@@ -8,7 +8,8 @@ irreducibility" (1994).
 * Walk a fixed list of algebra elements theta = w - lambda*I, where w runs
   over the generators, their pairwise sums, their products, and their
   products plus a generator, and lambda over F_p; the list ends with
-  theta = 0.  Take the first theta with a nonzero kernel.
+  theta = 0.  Take the first theta with a nonzero kernel.  A generator and
+  a product of two generators are invertible, so their lambda starts at 1.
 * Spin every projective point of ker theta (first nonzero coefficient 1).
   A proper result is a submodule.
 * Otherwise spin one vector u of ker theta^T under the transposed
@@ -27,9 +28,17 @@ polynomial spans a field of its own.
 A submodule splits the module into itself and the quotient, whose actions
 are read off the submodule's reduced echelon basis, with no change of basis.
 Both are split again, from an explicit stack, and the basis vectors of the
-irreducible pieces, in order, form the flag basis.  A module above
-``DIM_CAP`` or a split that needs more than ``SPLIT_BUDGET`` kernels and
-spins ends with ``GuardError``, never with a verdict.
+irreducible pieces, in order, form the flag basis.  Each piece resumes the
+walk at the theta its parent split on.  The actions on a submodule and on a
+quotient are algebra homomorphisms, so in a basis through the submodule
+each theta of the parent is block triangular, with the same theta of the two
+pieces on its diagonal.  Its determinant is the product of theirs, so a
+theta with a zero kernel on the parent has a zero kernel on both pieces, and
+a piece's walk meets the same first theta with a nonzero kernel as a walk
+from the start.  A module above ``DIM_CAP``, or a module whose whole
+chain of splits needs more than ``SPLIT_BUDGET`` kernels and spins, ends
+with ``GuardError``, never with a verdict; thetas that are skipped are not
+charged.
 
 The MeatAxe works on residue rows: each theta is a list of dense rows, its
 kernel comes from the one elimination routine of ``exactla``, and ``spin``
@@ -56,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import accumulate
 from math import prod
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GuardError, SchemaError, json_int, json_list, json_object
 from .exactla import (
@@ -78,7 +87,7 @@ from .exactla import (
 )
 
 DIM_CAP = 32  # largest module dimension split
-SPLIT_BUDGET = 300  # kernels of candidate thetas plus spins one split may make
+SPLIT_BUDGET = 300  # kernels of candidate thetas plus spins the splits of one module may make
 
 VERDICT_SATISFIED = "satisfied"
 VERDICT_PRECONDITION_FAILED = "precondition_failed"
@@ -142,7 +151,7 @@ def spin(vector: Sequence[int], spec: ModuleSpec) -> tuple:
 
 
 class _Budget:
-    """Kernels and spins left to one split; running out is a ``GuardError``."""
+    """Kernels and spins left to the whole chain of splits of one module; running out is a ``GuardError``."""
 
     def __init__(self):
         self.left = SPLIT_BUDGET
@@ -153,34 +162,58 @@ class _Budget:
         self.left -= 1
 
 
-def _words(gens: tuple):
-    """The generators, their pairwise sums, their products, then products plus a generator."""
-    yield from gens
+def _words(gens: tuple, first: int):
+    """(index, invertible, word) for each word from index ``first`` on.
+
+    The words are the generators, their pairwise sums, their products, then
+    products plus a generator; a generator and a product of two are
+    invertible.  A word before ``first`` is not formed.
+    """
+    n, t = len(gens), 0
+    for a in gens:
+        if t >= first:
+            yield t, True, a
+        t += 1
     for i, a in enumerate(gens):
         for b in gens[i + 1 :]:
-            yield a + b
+            if t >= first:
+                yield t, False, a + b
+            t += 1
     for a in gens:
         for b in gens:
-            yield a @ b
+            if t >= first:
+                yield t, True, a @ b
+            t += 1
     for a in gens:
         for b in gens:
-            ab = a @ b
-            for c in gens:
-                yield ab + c
+            if t + n > first:
+                ab = a @ b
+                for c in gens:
+                    if t >= first:
+                        yield t, False, ab + c
+                    t += 1
+            else:
+                t += n
 
 
-def _thetas(spec: ModuleSpec):
-    """Residue rows of theta = w - lambda*I for each distinct word w and lambda in F_p, then of 0."""
-    d, p = spec.dim, spec.field.characteristic
+def _thetas(spec: ModuleSpec, first: int):
+    """(position, residue rows) of each theta = w - lambda*I from position ``first`` on, then of 0.
+
+    Word t of ``_words`` with lambda is at position t*p + lambda, and theta = 0
+    at the position after them all.  A repeated word gives the same thetas and
+    is skipped, and an invertible word has no kernel at lambda = 0.
+    """
+    d, p, n = spec.dim, spec.field.characteristic, len(spec.generators)
     seen = set()
-    for w in _words(spec.generators):
-        if w in seen:  # a repeated word gives the same thetas
+    for t, invertible, w in _words(spec.generators, first // p):
+        if w in seen:
             continue
         seen.add(w)
         rows = list(_integer_dense_rows(w))
-        for lam in range(p):
-            yield [[(x - lam) % p if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    yield [[0] * d for _ in range(d)]
+        for lam in range(max(first - t * p, int(invertible)), p):
+            theta = [[(x - lam) % p if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+            yield t * p + lam, theta
+    yield (n + n * (n - 1) // 2 + n**2 + n**3) * p, [[0] * d for _ in range(d)]
 
 
 def _points(kernel: list, p: int):
@@ -196,12 +229,17 @@ def _points(kernel: list, p: int):
             yield v
 
 
-def _submodule(spec: ModuleSpec, budget: _Budget) -> Optional[Sequence]:
-    """Basis rows of a proper nonzero submodule, or None when ``spec`` is irreducible."""
+def _submodule(spec: ModuleSpec, budget: _Budget, first: int) -> tuple:
+    """(basis rows of a proper nonzero submodule, or None when ``spec`` is irreducible, theta position).
+
+    The walk starts at theta position ``first``: every theta before it is
+    known to have a zero kernel on ``spec``.  The position returned is that
+    of the theta used, the first from ``first`` on with a nonzero kernel.
+    """
     d, p = spec.dim, spec.field.characteristic
     if d == 1:
-        return None
-    for theta in _thetas(spec):  # the last theta, 0, has kernel V
+        return None, first
+    for at, theta in _thetas(spec, first):  # the last theta, 0, has kernel V
         budget.charge()
         kernel = _null_space(theta, d, p)
         if kernel:
@@ -210,22 +248,20 @@ def _submodule(spec: ModuleSpec, budget: _Budget) -> Optional[Sequence]:
         budget.charge()
         sub = spin(v, spec)
         if len(sub) < d:
-            return sub
+            return sub, at
     # so a proper submodule misses ker theta, lies in im theta, and is annihilated by
     # ker theta^T and by everything a vector of it spins to under the transposes
     dual = ModuleSpec._make(field=spec.field, dim=d, generators=tuple(g.transpose() for g in spec.generators))
     budget.charge()
     annihilated = spin(_null_space(zip(*theta), d, p)[0], dual)
     if len(annihilated) == d:
-        return None
-    return _null_space(annihilated, d, p)
+        return None, at
+    return _null_space(annihilated, d, p), at
 
 
-def _block(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
-    """The entries of ``m`` in ``rows`` and increasing ``cols``, renumbered in that order."""
-    at = {j: n for n, j in enumerate(cols)}
-    picked = tuple(tuple((at[j], x) for j, x in m.nonzero_rows[i] if j in at) for i in rows)
-    return Matrix._sparse(m.field, len(rows), len(cols), picked)
+def _rows(m: Matrix, rows: Sequence[int]) -> Matrix:
+    """The rows ``rows`` of ``m``, in that order."""
+    return Matrix._sparse(m.field, len(rows), m.cols, tuple(m.nonzero_rows[i] for i in rows))
 
 
 def _check_dim_cap(dim: int) -> None:
@@ -238,11 +274,12 @@ def _factor_chain(spec: ModuleSpec):
     _check_dim_cap(spec.dim)
     field, d, p = spec.field, spec.dim, spec.field.characteristic
     budget = _Budget()
-    # each piece is a module and its basis vectors, as rows in the coordinates of spec
-    stack = [(spec, identity(d, field))]
+    # each piece is a module, its basis vectors as rows in the coordinates of spec, and the
+    # position of the first theta whose kernel on it may be nonzero
+    stack = [(spec, identity(d, field), 0)]
     while stack:
-        piece, vectors = stack.pop()
-        sub = _submodule(piece, budget)
+        piece, vectors, first = stack.pop()
+        sub, split_at = _submodule(piece, budget, first)
         if sub is None:
             yield piece.dim, vectors.nonzero_rows
             continue
@@ -252,14 +289,21 @@ def _factor_chain(spec: ModuleSpec):
         b = Matrix._sparse(field, w, k, tuple(_nonzero_row(row) for row in basis))
         bt = b.transpose()
         images = [g @ bt for g in piece.generators]  # x in the submodule is sum_i x[pivots[i]] basis[i]
-        actions = tuple(_block(image, pivots, range(w)) for image in images)
+        actions = tuple(_rows(image, pivots) for image in images)
         assert all(m == bt @ u for m, u in zip(images, actions)), "submodule basis failed to block-triangularize"
-        free_bt = _block(bt, free, range(w))  # the quotient is spanned by the unit vectors at the free columns
-        quotient_actions = tuple(_block(g, free, free) - free_bt @ _block(g, pivots, free) for g in piece.generators)
+        # the quotient is spanned by the unit vectors at the free columns F and acts by
+        # g[F, F] - B^T[F, :] g[P, F]; one pass over g's rows keeps its columns F
+        free_bt, column = _rows(bt, free), {j: n for n, j in enumerate(free)}
+        quotient_actions = []
+        for g in piece.generators:
+            kept = tuple(tuple((column[j], x) for j, x in row if j in column) for row in g.nonzero_rows)
+            g_free = Matrix._sparse(field, k, k - w, kept)
+            quotient_actions.append(_rows(g_free, free) - free_bt @ _rows(g_free, pivots))
         submodule = ModuleSpec._make(field=field, dim=w, generators=actions)
-        quotient = ModuleSpec._make(field=field, dim=k - w, generators=quotient_actions)
-        stack.append((quotient, _block(vectors, free, range(d))))
-        stack.append((submodule, b @ vectors))
+        quotient = ModuleSpec._make(field=field, dim=k - w, generators=tuple(quotient_actions))
+        # a theta with a zero kernel on the piece has one on both parts, so both resume at split_at
+        stack.append((quotient, _rows(vectors, free), split_at))
+        stack.append((submodule, b @ vectors, split_at))
 
 
 def _verified_report(spec: ModuleSpec, factors: list) -> CompositionReport:

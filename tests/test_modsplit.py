@@ -327,12 +327,89 @@ def test_split_output_is_pinned(spec, expected):
 
 def test_non_invariant_submodule_fails_the_split_check(monkeypatch):
     # span{e_1} is not invariant: the 3-cycle moves e_1 to e_2
-    def first_split_on_a_line(piece, budget, submodule=modsplit._submodule):
-        return ((1, 0, 0),) if piece.dim == 3 else submodule(piece, budget)
+    def first_split_on_a_line(piece, budget, first, submodule=modsplit._submodule):
+        return (((1, 0, 0),), first) if piece.dim == 3 else submodule(piece, budget, first)
 
     monkeypatch.setattr(modsplit, "_submodule", first_split_on_a_line)
     with pytest.raises(AssertionError, match="submodule basis failed to block-triangularize"):
         composition_factor_dims(_s3_module())
+
+
+def _results(spec):
+    """What the library says about ``spec``: the report (or a refusal) and triangularizability."""
+    try:
+        report = report_to_json(composition_factor_dims(spec))
+    except GuardError:
+        report = None
+    try:
+        return report, is_triangularizable(spec)
+    except GuardError:
+        return report, None
+
+
+def _assert_resumed_walk_agrees(spec):
+    resumed = _results(spec)
+    submodule = modsplit._submodule
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        # every piece walks the thetas from position 0, as if its parent had proven nothing
+        monkeypatch.setattr(modsplit, "_submodule", lambda piece, budget, first: submodule(piece, budget, 0))
+        restarted = _results(spec)
+    # the resumed walk takes a subset of the restarted walk's kernels, so it refuses no more
+    for mine, theirs in zip(resumed, restarted):
+        assert mine == theirs or theirs is None
+
+
+@pytest.mark.parametrize("spec", [_s3_module(), _PLANTED_F2, _PLANTED_F3], ids=["s3", "planted-f2", "planted-f3"])
+def test_resumed_walk_matches_a_restarted_walk_on_pinned_modules(spec):
+    _assert_resumed_walk_agrees(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_modules())
+def test_resumed_walk_matches_a_restarted_walk(spec):
+    _assert_resumed_walk_agrees(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, kernels", [(_s3_module(), 4), (_PLANTED_F2, 10), (_PLANTED_F3, 8)], ids=["s3", "planted-f2", "planted-f3"]
+)
+def test_walk_skips_kernels_known_to_be_zero(monkeypatch, spec, kernels):
+    # a piece resumes at the theta its parent split on, and no invertible word gets lambda = 0:
+    # a walk that restarted every piece and took lambda = 0 everywhere took 7, 16 and 13 kernels
+    invertible, lam = [], []
+    submodule, thetas, null_space = modsplit._submodule, modsplit._thetas, modsplit._null_space
+
+    def noted_submodule(piece, budget, first):
+        gens = piece.generators
+        invertible[:] = [g.rows_list() for g in gens] + [(g @ h).rows_list() for g in gens for h in gens]
+        return submodule(piece, budget, first)
+
+    def noted_thetas(piece, first):
+        for at, theta in thetas(piece, first):
+            lam[:] = [at % piece.field.characteristic]
+            yield at, theta
+
+    def counted_null_space(rows, width, p):
+        rows = [list(row) for row in rows]
+        assert lam != [0] or rows not in invertible, "a kernel was taken at lambda = 0 on an invertible word"
+        calls.append(rows)
+        return null_space(rows, width, p)
+
+    monkeypatch.setattr(modsplit, "_submodule", noted_submodule)
+    monkeypatch.setattr(modsplit, "_thetas", noted_thetas)
+    monkeypatch.setattr(modsplit, "_null_space", counted_null_space)
+    calls = []
+    composition_factor_dims(spec)
+    assert len(calls) == kernels
+
+
+def test_pieces_do_not_rewalk_a_large_prime():
+    # one bidiagonal generator over F_211 with eigenvalues 95..99: each piece resumes at the
+    # eigenvalue its parent split on instead of taking the kernels of lambda = 1..94 again
+    f211 = GF(211)
+    g = matrix_from_rows(f211, [[95 + i if i == j else int(j == i + 1) for j in range(5)] for i in range(5)])
+    report = composition_factor_dims(ModuleSpec(f211, 5, (g,)))
+    assert report_to_json(report) == _report_doc(211, [1] * 5, [0, 1, 2, 3, 4, 5], identity(5, f211).entries)
 
 
 def test_factors_out_of_order_fail_the_flag_check():
