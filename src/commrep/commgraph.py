@@ -2,20 +2,25 @@
 
 ``realizes`` decides whether a matrix assignment has exactly the commutation
 pattern a graph prescribes: adjacent vertices get non-commuting matrices,
-non-adjacent vertices get commuting ones.  The all-pairs check takes each
-matrix's stored integers (``den`` times the matrix) less their most common
-diagonal value, which changes no commutator's vanishing.  It then compares
-only the pairs whose supports interact, on Python ints: each row is packed
-into one int, and one multiply-add per nonzero entry gives a row of a
-matrix's products with all its partners at once.  The result is one bitset
-of non-commuting partners per matrix, and ``realizes`` reads its violations
-off their XOR with the adjacency bitsets."""
+non-adjacent vertices get commuting ones.  The all-pairs check works on
+each matrix's stored integers (``den`` times the matrix) packed into Python
+ints, and takes one of two paths by the input's size.  A few small
+matrices, such as a search hint, are compared pair by pair, each whole
+commutator as one int, with no set-up beyond packing each matrix once.
+Larger inputs take each matrix less its most common diagonal value, which
+changes no commutator's vanishing, and compare only the pairs whose
+supports interact: one multiply-add per nonzero entry gives a row of a
+matrix's products with all its partners at once.  Either way the result is
+one bitset of non-commuting partners per matrix, and ``realizes`` reads its
+violations off their XOR with the adjacency bitsets."""
 
 from __future__ import annotations
 
 import bisect
+import functools
 import operator
 from collections import Counter
+from itertools import chain, compress, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import SchemaError, json_int, json_list, json_object
@@ -106,26 +111,36 @@ def _shifted_rows(a: Matrix) -> dict:
     keeps only its sparse part, and [A - cI, B] = [A, B].  The values are the
     stored integers of A, den A, shifted by den c: over Q, [den A, B] =
     den [A, B] vanishes with [A, B]; over F_p, den = 1 and the values are
-    residues.
+    residues.  The rows kept are those that differ from c e_i, found by one
+    comparison of the stored rows against the rows of cI.  The first
+    candidate for c is the last row's diagonal entry: when more than half of
+    the rows equal c e_i, c is on more than half of the diagonal and so is
+    its mode.  Only otherwise is the diagonal counted.
     """
-    p = a.field.characteristic
-    diagonal = []
-    for i, row in enumerate(a.nonzero_rows):
-        k = bisect.bisect_left(row, (i,))
-        diagonal.append(row[k][1] if k < len(row) and row[k][0] == i else 0)
-    c = Counter(diagonal).most_common(1)[0][0]
+    rows, r, p = a.nonzero_rows, a.rows, a.field.characteristic
+    last = rows[-1]
+    c = last[-1][1] if last and last[-1][0] == r - 1 else 0
+    differ = list(compress(range(r), map(operator.ne, rows, _scalar_rows(r, c))))
+    if 2 * len(differ) >= r:  # no majority: c is the first most common diagonal entry
+        c = Counter(_diagonal_entry(row, i) for i, row in enumerate(rows)).most_common(1)[0][0]
+        differ = list(compress(range(r), map(operator.ne, rows, _scalar_rows(r, c))))
     shifted = {}
-    for i, (row, x) in enumerate(zip(a.nonzero_rows, diagonal)):
-        if x != c:
-            row = shifted[i] = dict(row)
-            row[i] = x - c if p is None else (x - c) % p
-        elif not c:
-            if row:
-                shifted[i] = dict(row)
-        elif len(row) > 1:
-            row = shifted[i] = dict(row)
-            del row[i]
+    for i in differ:
+        row = shifted[i] = dict(rows[i])
+        x = row.pop(i, 0) - c
+        if x:
+            row[i] = x if p is None else x % p
     return shifted
+
+
+def _scalar_rows(r: int, c: int):
+    """The stored rows of c I, as an iterator."""
+    return zip(zip(range(r), repeat(c))) if c else repeat((), r)
+
+
+def _diagonal_entry(row: tuple, i: int) -> int:
+    k = bisect.bisect_left(row, (i,))
+    return row[k][1] if k < len(row) and row[k][0] == i else 0
 
 
 def _bits(x: int):
@@ -141,6 +156,7 @@ def _repeat(pattern: int, stride: int, count: int) -> int:
     return pattern * (((1 << stride * count) - 1) // ((1 << stride) - 1))
 
 
+@functools.lru_cache(maxsize=64)
 def _canonical_slots(width: int, r: int, blocks: int, p) -> Callable:
     """Map a packed product row to one whose slots are canonical, so equal entries give equal bytes.
 
@@ -216,8 +232,63 @@ def _components(partners: list):
         yield list(_bits(group))
 
 
-def noncommuting_pairs(matrices: Sequence[Matrix]) -> list:
-    """One bitset per matrix: bit j of entry i is set when matrices i and j do not commute.
+def _commutator_slots(matrices: Sequence[Matrix], r: int, p) -> tuple:
+    """(width, lift): slots of ``width`` bits hold every entry v of every [A, B] once ``lift`` is added.
+
+    Over Q an entry of a product AB is at most the largest row 1-norm times
+    the largest entry in absolute value, so |v| < 2^width, and ``lift`` is
+    0: slots that far apart, each holding some |v| < 2^width, sum to zero
+    only when every v is zero, since the lowest nonzero one is not a
+    multiple of 2^width.  Over F_p 0 <= AB_ij <= r (p - 1)^2, and ``lift``
+    is the least multiple of p at least that large, so that
+    0 <= v + lift < 2^(width-1), as ``_canonical_slots`` needs.
+    """
+    if p is None:
+        values = [[x for _, x in row] for a in matrices for row in a.nonzero_rows]
+        norm = max(map(sum, (map(abs, v) for v in values)), default=0)
+        return (norm * max(map(abs, chain(*values)), default=0)).bit_length() + 1, 0
+    bound = r * (p - 1) ** 2
+    lift = -(-bound // p) * p
+    return (lift + bound).bit_length() + 1, lift
+
+
+def _pairwise(matrices: Sequence[Matrix], r: int, p, width: int, lift: int) -> list:
+    """``noncommuting_pairs`` by one comparison per pair, of a whole commutator packed into one int.
+
+    Each matrix is packed twice with slots of ``width`` bits: row k into one
+    int, and column k into one int with entry i in byte-aligned block i.
+    Then the sum over k of column k of A times row k of B is all of AB at
+    once, block i holding row i, and [A, B] is one int.  Over Q [A, B] is
+    zero exactly when that int is; over F_p, exactly when it is zero once
+    ``lift`` is added to every slot and ``_canonical_slots`` has reduced
+    every slot mod p (see ``_commutator_slots``).
+    """
+    span = -(-r * width // 8) * 8
+    packed = []
+    for a in matrices:
+        rows, cols = [0] * r, [0] * r
+        for i, row in enumerate(a.nonzero_rows):
+            for j, x in row:
+                rows[i] += x << j * width
+                cols[j] += x << i * span
+        packed.append((rows, cols))
+    if p is None:
+        canonical = int  # the int itself
+    else:
+        canonical = _canonical_slots(width, r, r, p)
+        lift *= _repeat(_repeat(1, width, r), span, r)
+    noncommuting = [0] * len(matrices)
+    for a, (rows_a, cols_a) in enumerate(packed):
+        for b in range(a + 1, len(packed)):
+            rows_b, cols_b = packed[b]
+            if canonical(sum(map(operator.mul, cols_a, rows_b), lift) - sum(map(operator.mul, cols_b, rows_a))):
+                noncommuting[a] |= 1 << b
+                noncommuting[b] |= 1 << a
+    return noncommuting
+
+
+def _stacked(matrices: Sequence[Matrix], r: int, p) -> list:
+    """``noncommuting_pairs`` by stacked rows: each row of a matrix's products with all its partners at once.
 
     Each matrix is replaced by ``_shifted_rows``, and only partners
     (``_partners``) are compared, one connected component of them at a time.
@@ -234,8 +305,7 @@ def noncommuting_pairs(matrices: Sequence[Matrix]) -> list:
     taken one row index at a time, so at most one row per member is held as
     bytes.
     """
-    m, r = len(matrices), matrices[0].rows
-    p = matrices[0].field.characteristic
+    m = len(matrices)
     shifted = [_shifted_rows(a) for a in matrices]
     partners = _partners(shifted, r)
     noncommuting = [0] * m
@@ -283,6 +353,34 @@ def noncommuting_pairs(matrices: Sequence[Matrix]) -> list:
                         noncommuting[u] |= 1 << w
                         noncommuting[w] |= 1 << u
     return noncommuting
+
+
+# the size bounds of the pairwise path: m * m * r for m matrices of dimension r, and r * r * width
+_PAIRWISE_WORK = 256
+_PAIRWISE_BITS = 2048
+
+
+def noncommuting_pairs(matrices: Sequence[Matrix]) -> list:
+    """One bitset per matrix: bit j of entry i is set when matrices i and j do not commute.
+
+    Small inputs take ``_pairwise``: every pair's whole commutator is one
+    int, at a cost per pair of 2r products of ints of about r * r * width
+    bits, with no set-up beyond packing each matrix.  Larger inputs take
+    ``_stacked``, whose set-up (the scalar shift, the partner index, the
+    components) pays for itself by comparing only pairs whose supports
+    interact, with one multiply-add per nonzero entry and row.  The bounds
+    are set from measured crossovers: the pairwise path is the faster one
+    up to about m * m * r = 256 for small entries, and its cost grows with
+    the fourth power of r and the square of the width.  Both paths give
+    the same bitsets.
+    """
+    m, r = len(matrices), matrices[0].rows
+    p = matrices[0].field.characteristic
+    if m * m * r <= _PAIRWISE_WORK:
+        width, lift = _commutator_slots(matrices, r, p)
+        if r * r * width <= _PAIRWISE_BITS:
+            return _pairwise(matrices, r, p, width, lift)
+    return _stacked(matrices, r, p)
 
 
 def realizes(assignment: Assignment, graph: CommGraph) -> RealizationCheck:
