@@ -18,10 +18,9 @@ forces r >= n+1:
 The verifier recomputes everything from the raw pairs and accepts only if
 every invariant holds, so an accepted certificate yields r >= n+1 by direct
 rank computation, independent of how it was built.  The proof needs only the
-vectors z_i v, not the r x r commutators z_i, so on a certificate read from
-JSON the verifier takes each z_i v from the images x_i v it computes for the
-Gram matrix and forms a commutator only where it must (see
-``verify_certificate``).
+vectors z_i v, not the r x r commutators z_i, so the verifier takes each
+z_i v from the images x_i v it computes for the Gram matrix and forms a
+commutator only where it must (see ``verify_certificate``).
 
 Over a prime field the grid argument needs p distinct digit values, hence
 the p > 2n+1 precondition; scalar extension is deliberately not implemented
@@ -36,7 +35,8 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .commgraph import Assignment, matching_graph, realizes
-from .errors import FieldTooSmallError, PatternViolationError, json_int, json_list, json_object
+from .errors import FieldTooSmallError, InvalidArgumentError, PatternViolationError
+from .errors import json_int, json_list, json_object
 from .exactla import (
     FieldSpec,
     Matrix,
@@ -96,8 +96,8 @@ ALL_REASONS = (
 class LowerBoundCertificate:
     """Witness bundle concluding that the ambient dimension r is >= n+1.
 
-    ``z`` may be None for certificates read back from JSON; the verifier
-    then works from the recomputed vectors z_i v alone.
+    ``z`` is None for certificates read back from JSON; the verifier
+    compares it only when it is carried.
     """
 
     field: FieldSpec
@@ -302,14 +302,13 @@ def build_certificate(pairs: Sequence) -> LowerBoundCertificate:
 def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> VerificationResult:
     """Recompute every invariant from the raw pairs, and none from the builder's results.
 
-    A certificate read from JSON carries no z.  Then each z_i v is taken
-    from the images R_i = X_i v_int that ``_gram_entries`` returns with the
-    Gram matrix, as A_i R_{b_i} - B_i R_{a_i} (see ``_commutator_image``), so
-    no r x r commutator is needed to decide ``zv_zero`` and
-    ``alpha_zv_zero``, and z_i is formed only to decide ``z_zero`` for a pair
-    whose z_i v vanishes: z_i v != 0 already shows z_i != 0.  A certificate
-    that carries z (one built in memory) has every z_i formed to compare it,
-    and z_i v is read off z_i.
+    Each z_i v is taken from the images R_i = X_i v_int that
+    ``_gram_entries`` returns with the Gram matrix, as A_i R_{b_i} - B_i R_{a_i}
+    (see ``_commutator_image``), so no r x r commutator is needed to decide
+    ``zv_zero`` and ``alpha_zv_zero``.  z_i is formed only to decide
+    ``z_zero`` for a pair whose z_i v vanishes, since z_i v != 0 already
+    shows z_i != 0, and for every pair when the certificate carries z (one
+    built in memory), to compare it.
 
     The code is not independent of the builder: both call ``_gram_entries``,
     ``_row_sums``, ``_reduced_form`` and ``rank``, and ``commutator`` where
@@ -342,17 +341,12 @@ def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> Verifica
     v_int, e = _integer_vector(cert.v, p)
     alpha_int, f = _integer_vector(cert.alpha, p)
     expected_gram, images = _gram_entries(a_list + b_list, v_int, alpha_int, e * f, field)
-    if cert.z is None:
-        # z_i v != 0 shows z_i != 0, so a commutator is formed only where z_i v = 0
-        z = None
-        zv = [_commutator_image(a, b, ra, rb, p) for a, b, ra, rb in zip(a_list, b_list, images, images[n:])]
-    else:  # every z_i is formed to compare it with the carried one, so z_i v is read off its rows
-        z = [commutator(a, b) for a, b in zip(a_list, b_list)]
-        zv = [_row_sums(zi.nonzero_rows, v_int, p) for zi in z]
+    zv = [_commutator_image(a, b, ra, rb, p) for a, b, ra, rb in zip(a_list, b_list, images, images[n:])]
     vanishing = [i for i, w in enumerate(zv) if not any(w)]
-    if any((commutator(a_list[i], b_list[i]) if z is None else z[i]).is_zero() for i in vanishing):
+    z = {i: commutator(a_list[i], b_list[i]) for i in (vanishing if cert.z is None else range(n))}
+    if any(z[i].is_zero() for i in vanishing):
         reasons.append(REASON_Z_ZERO)
-    if z is not None and (len(cert.z) != n or any(s != zi for s, zi in zip(cert.z, z))):
+    if cert.z is not None and (len(cert.z) != n or any(s != zi for s, zi in zip(cert.z, z.values()))):
         reasons.append(REASON_Z_MISMATCH)
     if vanishing:
         reasons.append(REASON_ZV_ZERO)
@@ -439,9 +433,9 @@ def certificate_from_json(doc, path: str = "certificate") -> LowerBoundCertifica
 
 
 def pairs_from_assignment(assignment: Assignment) -> list:
-    """Split a matching-ordered assignment (a_1..a_n, b_1..b_n) into pairs."""
+    """Split an assignment (a_1..a_n, b_1..b_n) into pairs; an odd length raises ``InvalidArgumentError``."""
     m = len(assignment)
     if m % 2:
-        raise ValueError("assignment length must be even to form pairs")
+        raise InvalidArgumentError("assignment length must be even to form pairs")
     n = m // 2
     return [(assignment.matrices[i], assignment.matrices[n + i]) for i in range(n)]

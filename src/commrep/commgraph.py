@@ -23,7 +23,7 @@ from collections import Counter
 from itertools import chain, compress, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import SchemaError, json_int, json_list, json_object
+from .errors import InvalidArgumentError, SchemaError, json_int, json_list, json_object
 from .exactla import FieldSpec, Matrix, _Value, matrix_from_json, matrix_to_json
 
 
@@ -54,11 +54,17 @@ class CommGraph(_Value):
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
+    def neighbours(self) -> list:
+        """One bitset per vertex, built on each call: bit w - 1 of entry u - 1 is set when uw is an edge."""
+        adjacency = [0] * self.vertex_count
+        for u, w in self.edges:
+            adjacency[u - 1] |= 1 << (w - 1)
+            adjacency[w - 1] |= 1 << (u - 1)
+        return adjacency
+
 
 def matching_graph(n: int) -> CommGraph:
-    """n disjoint edges on 2n vertices: pair i is (i, n + i)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """n disjoint edges on 2n vertices: pair i is (i, n + i); ``CommGraph`` refuses n < 1."""
     return CommGraph.make(2 * n, [(i, n + i) for i in range(1, n + 1)])
 
 
@@ -316,7 +322,8 @@ def _stacked(matrices: Sequence[Matrix], r: int, p) -> list:
     width = (norm * largest).bit_length() + 1
     block = -(-r * width // 8)
     offsets = [j * width for j in range(r)]
-    canonicals = {}
+    # a block of a canonical zero row: the same block for any number of blocks
+    zero = _canonical_slots(width, r, 1, p)(0).to_bytes(block, "little")
     for members in _components(partners):
         place = {u: t for t, u in enumerate(members)}
         near = [[place[w] for w in _bits(partners[u])] for u in members]
@@ -328,10 +335,7 @@ def _stacked(matrices: Sequence[Matrix], r: int, p) -> list:
                 stacks[k] += packed << t * block * 8
                 users.setdefault(k, []).append(t)
         size = len(members) * block
-        if len(members) not in canonicals:  # components are mostly of a few sizes
-            canonical = _canonical_slots(width, r, len(members), p)
-            canonicals[len(members)] = canonical, canonical(0).to_bytes(size, "little")[:block]
-        canonical, zero = canonicals[len(members)]
+        canonical = _canonical_slots(width, r, len(members), p)
         for i, row_users in users.items():
             products = [None] * len(members)
             for t in row_users:
@@ -384,17 +388,17 @@ def noncommuting_pairs(matrices: Sequence[Matrix]) -> list:
 
 
 def realizes(assignment: Assignment, graph: CommGraph) -> RealizationCheck:
-    """Check every vertex pair; violations are reported exhaustively, u < v in row-major order."""
+    """Check every vertex pair; violations are reported exhaustively, u < v in row-major order.
+
+    An assignment without exactly one matrix per vertex raises ``InvalidArgumentError``, a ``ValueError``.
+    """
     if len(assignment) != graph.vertex_count:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"assignment has {len(assignment)} matrices for {graph.vertex_count} vertices"
         )
     noncommuting = noncommuting_pairs(assignment.matrices)
-    adjacency = [0] * graph.vertex_count  # above the diagonal, as u < v
-    for u, v in graph.edges:
-        adjacency[u - 1] |= 1 << (v - 1)
     violations = []
-    for u, (cross, edges) in enumerate(zip(noncommuting, adjacency)):
+    for u, (cross, edges) in enumerate(zip(noncommuting, graph.neighbours())):
         for k in _bits((cross ^ edges) >> (u + 1)):
             v = u + 1 + k
             edge = bool(edges >> v & 1)

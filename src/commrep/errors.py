@@ -1,9 +1,10 @@
 """Exception hierarchy shared by every module, with stable CLI exit codes,
 and the checks every JSON document reader shares.
 
-Exit code contract: 0 success, 1 internal/parse error, 2 domain refusal,
-3 budget exceeded (budget exhaustion is reported via search status, not an
-exception; the CLI maps it to 3).
+Exit code contract: 0 success, 1 internal/parse error, 2 domain refusal
+(``FieldTooSmallError``, ``PatternViolationError``, ``GuardError``,
+``InvalidHintError``, and ``InvalidArgumentError``, which is also a
+``ValueError``), 3 budget exceeded (a search status, not an exception).
 
 Every reader of an input document (``*_from_json``) checks its shape with
 ``json_object``, ``json_list`` and ``json_int`` and raises only
@@ -158,4 +159,11 @@ class InvalidHintError(CommrepError):
     """A search hint of the wrong size or field, singular under ``invertible_only``, or no realization."""
 
     code = "invalid_hint"
+    exit_code = 2
+
+
+class InvalidArgumentError(CommrepError, ValueError):
+    """An argument outside the routine's domain, such as an assignment of the wrong length."""
+
+    code = "invalid_argument"
     exit_code = 2

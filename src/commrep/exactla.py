@@ -52,6 +52,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    InvalidArgumentError,
     SchemaError,
     _decimal,
     field_characteristic,
@@ -156,18 +157,18 @@ class FieldSpec(_Value):
             num, slash, den = x.partition("/")
             a, b = _decimal(num), _decimal(den) if slash else 1
             if a is None or b is None or b < 0:
-                raise ValueError(f"expected a or a/b in decimal digits with b > 0, got {x!r}")
+                raise InvalidArgumentError(f"expected a or a/b in decimal digits with b > 0, got {x!r}")
             if not b:
-                raise ValueError(f"zero denominator in {x!r}")
+                raise InvalidArgumentError(f"zero denominator in {x!r}")
             x = Fraction(a, b)
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise ValueError(f"cannot coerce {x!r} to a {self.name()} scalar")
+            raise InvalidArgumentError(f"cannot coerce {x!r} to a {self.name()} scalar")
         if self.is_rationals:
             return Fraction(x)
         p = self.characteristic
         if isinstance(x, Fraction):
             if x.denominator % p == 0:
-                raise ValueError(f"denominator of {x} is not invertible mod {p}")
+                raise InvalidArgumentError(f"denominator of {x} is not invertible mod {p}")
             return x.numerator * pow(x.denominator, -1, p) % p
         return x % p
 

@@ -230,7 +230,7 @@ def _points(kernel: list, p: int):
 
 
 def _submodule(spec: ModuleSpec, budget: _Budget, first: int) -> tuple:
-    """(basis rows of a proper nonzero submodule, or None when ``spec`` is irreducible, theta position).
+    """(reduced echelon basis of a proper nonzero submodule, or None if ``spec`` is irreducible, theta position).
 
     The walk starts at theta position ``first``: every theta before it is
     known to have a zero kernel on ``spec``.  The position returned is that
@@ -256,7 +256,7 @@ def _submodule(spec: ModuleSpec, budget: _Budget, first: int) -> tuple:
     annihilated = spin(_null_space(zip(*theta), d, p)[0], dual)
     if len(annihilated) == d:
         return None, at
-    return _null_space(annihilated, d, p), at
+    return _reduced_form(_null_space(annihilated, d, p), d, p)[0], at
 
 
 def _rows(m: Matrix, rows: Sequence[int]) -> Matrix:
@@ -272,7 +272,7 @@ def _check_dim_cap(dim: int) -> None:
 def _factor_chain(spec: ModuleSpec):
     """The irreducible factors of ``spec`` in series order: (dimension, basis rows in spec's coordinates)."""
     _check_dim_cap(spec.dim)
-    field, d, p = spec.field, spec.dim, spec.field.characteristic
+    field, d = spec.field, spec.dim
     budget = _Budget()
     # each piece is a module, its basis vectors as rows in the coordinates of spec, and the
     # position of the first theta whose kernel on it may be nonzero
@@ -283,10 +283,10 @@ def _factor_chain(spec: ModuleSpec):
         if sub is None:
             yield piece.dim, vectors.nonzero_rows
             continue
-        k = piece.dim
-        basis, pivots = _reduced_form([list(row) for row in sub], k, p)
+        k, basis = piece.dim, tuple(_nonzero_row(row) for row in sub)
+        pivots = [row[0][0] for row in basis]  # the first nonzero entry of each reduced row
         w, free = len(basis), [j for j in range(k) if j not in pivots]
-        b = Matrix._sparse(field, w, k, tuple(_nonzero_row(row) for row in basis))
+        b = Matrix._sparse(field, w, k, basis)
         bt = b.transpose()
         images = [g @ bt for g in piece.generators]  # x in the submodule is sum_i x[pivots[i]] basis[i]
         actions = tuple(_rows(image, pivots) for image in images)

@@ -86,10 +86,7 @@ def unique_matching_bound(graph: CommGraph) -> tuple:
     less.  The pairs are (u, w) with u < w, sorted.
     """
     m = graph.vertex_count
-    adjacency = [0] * m  # bit w - 1 of entry u - 1: edge uw
-    for u, w in graph.edges:
-        adjacency[u - 1] |= 1 << (w - 1)
-        adjacency[w - 1] |= 1 << (u - 1)
+    adjacency = graph.neighbours()
     if m > _EXACT_BOUND_VERTICES:
         return _greedy_unique_matching(adjacency)
     known = {0: ((),)}
@@ -248,7 +245,7 @@ def exists_realization(
     classes = _classes(r, p)
     invertible = mode == MODE_INVERTIBLE
     m = graph.vertex_count
-    adjacency = [[graph.has_edge(u, v) for v in range(1, m + 1)] for u in range(1, m + 1)]
+    adjacency = graph.neighbours()
     nodes = 0
     chosen = []  # class index of each vertex before the current one
     # stack[t]: the untried classes of vertex t, then the domains of the later vertices
@@ -270,10 +267,10 @@ def exists_realization(
             member = classes.invertible_member if invertible else classes.entries
             witness = Assignment(tuple(Matrix(field, r, r, member(c)) for c in chosen + [a]))
             return ExistsOutcome(FOUND, witness, nodes)
-        row = classes.row(a)
+        row, edges = classes.row(a), adjacency[t]
         narrowed = []
-        for dom, edge in zip(domains[1:], adjacency[t][t + 1 :]):
-            dom = dom & ~row if edge else dom & row
+        for v, dom in enumerate(domains[1:], t + 1):
+            dom = dom & ~row if edges >> v & 1 else dom & row
             if not dom:
                 break
             narrowed.append(dom)

@@ -1,6 +1,7 @@
 """Certificates: grid-search oracle, hand-traced n=1 values, verifier checks."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,8 @@ from commrep.certificate import (
     pairs_from_assignment,
     verify_certificate,
 )
-from commrep.errors import FieldTooSmallError, PatternViolationError
+from commrep.commgraph import Assignment
+from commrep.errors import FieldTooSmallError, InvalidArgumentError, PatternViolationError
 from commrep.exactla import (
     GF,
     QQ,
@@ -324,15 +326,38 @@ def test_every_reason_code_can_be_produced(reason):
     assert set(res.reasons) <= set(ALL_REASONS)
 
 
-@pytest.mark.parametrize("reason", [r for r in ALL_REASONS if r != REASON_Z_MISMATCH])
+# the JSON reader refuses the documents of these corruptions, so they are verified with z dropped in memory
+_REFUSED_BY_THE_READER = {REASON_N_MISMATCH, REASON_FIELD_MISMATCH, REASON_GRAM_MISMATCH}
+
+
+def _zv_zero_on_one_pair():
+    """The conjugated F_7 witness with v in the kernel of z_1, so z_1 v vanishes and z_2 v does not."""
+    pairs = _conjugated_pairs(7)
+    cert = build_certificate(pairs)
+    return _with(cert, v=_v_in_kernel_of_z1(cert)), pairs
+
+
+@pytest.mark.parametrize("reason", [r for r in ALL_REASONS if r != REASON_Z_MISMATCH] + ["zv_zero_on_one_pair"])
 def test_every_reason_tuple_is_the_same_without_a_carried_z(reason):
-    # a certificate read from JSON carries no z, so the verifier takes z_i v from its images;
-    # only z_mismatch, which compares a carried z, can drop out
-    cert, pairs = _REASON_CASES[reason](*_valid())
+    # the in-memory certificate carries z and the one read back from JSON does not; the verifier takes
+    # every z_i v from its images either way, so only z_mismatch, which compares a carried z, can drop out
+    cert, pairs = _zv_zero_on_one_pair() if reason == "zv_zero_on_one_pair" else _REASON_CASES[reason](*_valid())
     carried = verify_certificate(cert, pairs)
-    res = verify_certificate(_with(cert, z=None), pairs)
+    if reason in _REFUSED_BY_THE_READER:
+        loaded = _with(cert, z=None)
+    else:
+        loaded = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+        assert loaded == _with(cert, z=None)
+    res = verify_certificate(loaded, pairs)
     assert res.reasons == tuple(r for r in carried.reasons if r != REASON_Z_MISMATCH)
-    assert reason in res.reasons
+    assert (REASON_ZV_ZERO if reason == "zv_zero_on_one_pair" else reason) in res.reasons
+
+
+def test_no_pairs_and_an_odd_assignment_are_refused():
+    cert, _ = _valid()
+    assert verify_certificate(cert, []) == VerificationResult(False, (REASON_N_MISMATCH,))
+    with pytest.raises(InvalidArgumentError, match="^assignment length must be even to form pairs$"):
+        pairs_from_assignment(Assignment(sharp_witness(1, 2, QQ).matrices[:1]))
 
 
 def _conjugated_pairs(p):

@@ -65,7 +65,8 @@ def test_witness_rejects_zero_lambda():
 
 
 def test_bad_field_name_is_usage_error():
-    for field in ("Fp:4", "Fp:318665857834031151167461"):  # composite, and a strong pseudoprime to bases 2..37
+    # composite; a strong pseudoprime to bases 2..37; and 41 * 61 * 101, a Carmichael number with no factor up to 37
+    for field in ("Fp:4", "Fp:318665857834031151167461", "Fp:252601"):
         res = run_cli("witness", "--n", "1", "--lambda", "2", "--field", field)
         assert res.returncode == 1
         assert payload(res)["error"]["code"] == "usage"
@@ -275,53 +276,83 @@ def test_count_check(workdir):
 
 
 _ONE = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1", "1"]]}
+_TWO = {"field": "Q", "rows": 2, "cols": 2, "entries": [["1", "1"], ["0", "1"], ["0", "1"], ["1", "1"]]}
 _CERT = {"field": "Q", "n": 1, "r": 2, "v": [["0", "1"], ["1", "1"]], "alpha": [["1", "1"], ["1", "1"]],
          "gram": [[["0", "1"], ["2", "1"]], [["-2", "1"], ["0", "1"]]], "image_rank": 2, "bound": 2}
 
 
 @pytest.mark.parametrize(
-    "command, files, exit_code, code",
+    "command, files, exit_code, code, message",
     [
         (["verify-cert", "--cert", "{a}", "--input", "{b}"],
-         [dict(_CERT, n=0, gram=[]), {"matrices": [_ONE, _ONE]}], 1, "schema"),
+         [dict(_CERT, n=0, gram=[]), {"matrices": [_ONE, _ONE]}], 1, "schema", None),
         (["verify-cert", "--cert", "{a}", "--input", "{b}"],
-         [dict(_CERT, image_rank=True), {"matrices": [_ONE, _ONE]}], 1, "schema"),
+         [dict(_CERT, image_rank=True), {"matrices": [_ONE, _ONE]}], 1, "schema", None),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
-         [{"matrices": [dict(_ONE, rows=True)]}, {"vertices": 1, "edges": []}], 1, "schema"),
+         [{"matrices": [dict(_ONE, rows=True)]}, {"vertices": 1, "edges": []}], 1, "schema", None),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
-         [{"matrices": [_ONE, _ONE]}, {"vertices": True, "edges": []}], 1, "schema"),
-        (["count-check", "--dims", "{a}"], [{"dims": [[True, 2]]}], 1, "schema"),
-        (["count-check", "--dims", "{a}"], [{"dims": [[1, 2], [2]]}], 1, "schema"),
-        (["count-check", "--dims", "{a}"], [{"dims": [[1, "2"], [2, 1]]}], 1, "schema"),
-        (["witness", "--n", "2", "--lambda", "1/0", "--field", "Q"], [], 2, "invalid_argument"),
-        (["witness", "--n", "2", "--lambda", "1/0", "--field", "Fp:5"], [], 2, "invalid_argument"),
+         [{"matrices": [_ONE, _ONE]}, {"vertices": True, "edges": []}], 1, "schema", None),
+        (["count-check", "--dims", "{a}"], [{"dims": [[True, 2]]}], 1, "schema", None),
+        (["count-check", "--dims", "{a}"], [{"dims": [[1, 2], [2]]}], 1, "schema", None),
+        (["count-check", "--dims", "{a}"], [{"dims": [[1, "2"], [2, 1]]}], 1, "schema", None),
+        (["witness", "--n", "2", "--lambda", "1/0", "--field", "Q"], [], 2, "invalid_argument", None),
+        (["witness", "--n", "2", "--lambda", "1/0", "--field", "Fp:5"], [], 2, "invalid_argument", None),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
-         [b"[" * 200_000, {"vertices": 2, "edges": []}], 1, "schema"),
+         [b"[" * 200_000, {"vertices": 2, "edges": []}], 1, "schema", None),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
-         [b"\xff{", {"vertices": 2, "edges": []}], 1, "schema"),
+         [b"\xff{", {"vertices": 2, "edges": []}], 1, "schema", None),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
-         [{"matrices": [_ONE]}, b'{"vertices": 1' + b"0" * 5000 + b', "edges": []}'], 1, "schema"),
+         [{"matrices": [_ONE]}, b'{"vertices": 1' + b"0" * 5000 + b', "edges": []}'], 1, "schema", None),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
-         [{"matrices": [dict(_ONE, field=7)]}, {"vertices": 1, "edges": []}], 1, "schema"),
+         [{"matrices": [dict(_ONE, field=7)]}, {"vertices": 1, "edges": []}], 1, "schema", None),
         (["split", "--module", "{a}"],
-         [{"field": ["Fp:2"], "dim": 1, "generators": [dict(_ONE, field="Fp:2", entries=["1"])]}], 1, "schema"),
+         [{"field": ["Fp:2"], "dim": 1, "generators": [dict(_ONE, field="Fp:2", entries=["1"])]}], 1, "schema", None),
         (["verify-cert", "--cert", "{a}", "--input", "{b}"],
-         [dict(_CERT, field=None), {"matrices": [_ONE, _ONE]}], 1, "schema"),
+         [dict(_CERT, field=None), {"matrices": [_ONE, _ONE]}], 1, "schema", None),
         (["search", "--graph", "{a}", "--field", "Fp:2", "--rmax", "1"],
-         [{"vertices": 10**9, "edges": []}], 2, "guard_violation"),
+         [{"vertices": 10**9, "edges": []}], 2, "guard_violation", None),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
-         [{"matrices": [dict(_ONE, entries=[[" 1_000 ", "+2"]])]}, {"vertices": 1, "edges": []}], 1, "schema"),
+         [{"matrices": [_ONE] * 3}, {"vertices": 10**9, "edges": []}], 2, "invalid_argument",
+         "assignment has 3 matrices for 1000000000 vertices"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": [dict(_ONE, entries=[[" 1_000 ", "+2"]])]}, {"vertices": 1, "edges": []}], 1, "schema", None),
         (["verify-graph", "--input", "{a}", "--graph", "{b}"],
          [{"matrices": [dict(_ONE, field="Fp:318665857834031151167461", entries=["1"])]},
-          {"vertices": 1, "edges": []}], 1, "schema"),
+          {"vertices": 1, "edges": []}], 1, "schema", None),
+        (["certify", "--input", "{a}"], [{"matrices": [_ONE] * 3}], 2, "invalid_argument",
+         "assignment length must be even to form pairs"),
+        (["verify-cert", "--cert", "{a}", "--input", "{b}"], [_CERT, {"matrices": [_ONE] * 3}], 2,
+         "invalid_argument", "assignment length must be even to form pairs"),
+        (["witness", "--n", "0", "--lambda", "2", "--field", "Q"], [], 2, "invalid_argument",
+         "--n must be at least 1"),
+        ([], [], 1, "usage", "missing subcommand (see --help)"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": []}, {"vertices": 1, "edges": []}], 1, "schema", "{a}.matrices: "),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": [_ONE, _TWO]}, {"vertices": 2, "edges": []}], 1, "schema",
+         "{a}.matrices: uniform dimension and field required"),
+        (["verify-graph", "--input", "{a}", "--graph", "{b}"],
+         [{"matrices": [dict(_ONE, cols=2, entries=[["1", "1"], ["0", "1"]])]}, {"vertices": 1, "edges": []}],
+         1, "schema", "{a}.matrices: assignments hold square matrices"),
+        (["split", "--module", "{a}"],
+         [{"field": "Fp:2", "dim": 1, "generators": [dict(_ONE, field="Fp:2", entries=["0"])]}], 1, "schema",
+         "{a}: generators must be invertible"),
+        (["search", "--graph", "{a}", "--field", "Fp:2", "--rmax", "2", "--hint", "{b}"],
+         [{"vertices": 2, "edges": [[1, 2]]}, {"matrices": [dict(_ONE, field="Fp:2", entries=["1"])] * 3}], 2,
+         "invalid_hint", "hint assigns 3 matrices to 2 vertices"),
+        (["witness", "--n", "9" * 5000, "--lambda", "2", "--field", "Q"], [], 1, "usage", None),
     ],
     ids=["cert-n-zero", "cert-image-rank-true", "matrix-rows-true", "graph-vertices-true", "dims-entry-true",
          "dims-rows-ragged", "dims-entry-string",
          "lambda-zero-denominator-q", "lambda-zero-denominator-fp", "nesting-too-deep", "not-utf8",
          "number-too-long", "matrix-field-not-string", "module-field-not-string", "cert-field-not-string",
-         "search-vertices-above-cap", "scalar-not-decimal", "matrix-field-pseudoprime"],
+         "search-vertices-above-cap", "verify-graph-billion-vertices", "scalar-not-decimal",
+         "matrix-field-pseudoprime", "certify-odd-assignment", "verify-cert-odd-assignment", "witness-n-zero",
+         "no-subcommand", "assignment-empty", "assignment-mixed-sizes", "assignment-not-square",
+         "split-singular-generator", "search-hint-too-long", "witness-n-too-many-digits"],
 )
-def test_json_booleans_and_empty_certificate_are_typed_errors(workdir, command, files, exit_code, code):
+def test_json_booleans_and_empty_certificate_are_typed_errors(workdir, command, files, exit_code, code, message):
+    # ``message``, where given, is the start of the expected message, with {a} and {b} the files' paths
     paths = {name: _write(workdir, f"{name}.json", doc) for name, doc in zip("ab", files)}
     res = run_cli(*(arg.format(**paths) for arg in command))
     assert res.returncode == exit_code
@@ -329,6 +360,8 @@ def test_json_booleans_and_empty_certificate_are_typed_errors(workdir, command, 
     assert error["code"] == code
     if code == "schema":  # the message starts with the file and the JSON path of the first fault
         assert error["message"].startswith(tuple(paths.values()))
+    if message is not None:
+        assert error["message"].startswith(message.format(**paths))
 
 
 @pytest.mark.parametrize("field", ["Fp:\u0663", "Fp:0003"], ids=["arabic-indic-digit", "leading-zeros"])

@@ -27,6 +27,7 @@ from commrep.commgraph import (
     noncommuting_pairs,
     realizes,
 )
+from commrep.errors import InvalidArgumentError
 from commrep.exactla import (
     GF,
     QQ,
@@ -50,6 +51,8 @@ def test_graph_validation():
         CommGraph.make(3, [(1, 1)])
     with pytest.raises(ValueError):
         CommGraph.make(3, [(1, 4)])
+    with pytest.raises(ValueError, match="vertex count must be positive"):
+        matching_graph(0)
 
 
 def test_matching_graph_examples():
@@ -86,6 +89,9 @@ def test_edgeless_graph_realized_by_zero_matrices():
 def test_length_mismatch_errors():
     a = Assignment((identity(2, QQ),))
     with pytest.raises(ValueError):
+        realizes(a, matching_graph(1))
+    # the CLI's typed refusal comes from realizes itself
+    with pytest.raises(InvalidArgumentError, match="^assignment has 1 matrices for 2 vertices$"):
         realizes(a, matching_graph(1))
 
 
@@ -410,6 +416,10 @@ def test_violations_match_per_pair_loop(data):
             expected.append((u, v, g.has_edge(u, v), commutes))
     got = realizes(Assignment(mats), g).violations
     assert [(s.u, s.v, s.edge, s.commutes) for s in got] == expected
+    # the adjacency realizes reads: bit v - 1 of entry u - 1 for each edge uv, and no other bit
+    assert g.neighbours() == [
+        sum(1 << (v - 1) for v in range(1, count + 1) if g.has_edge(u, v)) for u in range(1, count + 1)
+    ]
     assert all(type(x) is int for s in got for x in (s.u, s.v))
     assert all(type(x) is bool for s in got for x in (s.edge, s.commutes))
 

@@ -31,7 +31,7 @@ from commrep.exactla import (
     span_rank,
     zeros,
 )
-from commrep.errors import SchemaError, is_prime
+from commrep.errors import InvalidArgumentError, SchemaError, is_prime
 
 from conftest import big_fractions, matrix_pair, square_matrix
 from reference_elimination import matvec, rank as reference_rank
@@ -58,8 +58,11 @@ def test_field_equality_and_names():
             FieldSpec.from_name(bad)
 
 
-@pytest.mark.parametrize("bad", [1, 4, 6, 9, 100, -3])
+# 1373653 and 3215031751 are strong pseudoprimes to bases 2 and 3, and 2, 3, 5 and 7; 252601 = 41 * 61 * 101
+# is a Carmichael number; none has a factor up to 37, so only the Miller-Rabin rounds refuse them
+@pytest.mark.parametrize("bad", [1, 4, 6, 9, 100, -3, 1373653, 3215031751, 252601])
 def test_nonprime_characteristic_rejected(bad):
+    assert not is_prime(bad)
     with pytest.raises(ValueError):
         GF(bad)
 
@@ -76,7 +79,7 @@ def test_scalar_coercion():
     with pytest.raises(ValueError):
         GF(3).scalar(F("1/3"))
     for field in (QQ, GF(5)):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="zero denominator"):  # a ValueError, and the CLI's code
             field.scalar("1/0")
 
 
