@@ -15,7 +15,8 @@ fails or a workload cannot be built.
 Digests are comparable only between commits with the same ``perfbench/``:
 the workloads and their fingerprints come from there.
 ``scripts/output_digests_tiny.txt`` holds the output of
-``--seeds 1 --size tiny``, which CI compares against.
+``--seeds 1 --size tiny``, which the test
+``tests/test_acceptance.py::test_tiny_output_digests_are_pinned`` compares against.
 
 Usage: python3 scripts/output_digests.py [--seeds 1 2 3] [--size full|tiny]
 """

@@ -322,7 +322,7 @@ def verify_certificate(cert: LowerBoundCertificate, pairs: Sequence) -> Verifica
     n = len(a_list)
     field, r = a_list[0].field, a_list[0].rows
 
-    if cert.n != n or cert.n < 1:
+    if cert.n != n:
         reasons.append(REASON_N_MISMATCH)
     if cert.field != field or any(m.field != field for m in a_list + b_list):
         reasons.append(REASON_FIELD_MISMATCH)

@@ -78,6 +78,7 @@ def cmd_witness(ns):
 
     field = FieldSpec.from_name(ns.field)
     lam = field.scalar(ns.lam)
+    # sharp_witness makes both checks too; they are made here to refuse before commgraph and witness load
     if not lam:
         raise InvalidArgumentError("lambda must be nonzero in the chosen field")
     if ns.n < 1:

@@ -456,16 +456,13 @@ def _many_terms(a: Matrix, b: Matrix, commute: bool) -> bool:
     """Whether ab (and ba when commuting) has more than ``_PACK_RATIO`` terms per output entry.
 
     A term is a product a_ik b_kj of two stored entries.  There are at most
-    rows * inner * cols of them, and each stored a_ik (and b_ik when commuting)
-    meets at most cols, so small and sparse factors are settled before the
-    exact count.
+    rows * inner * cols of them, so a small inner dimension is settled before
+    the exact count.
     """
     if (1 + commute) * a.cols <= _PACK_RATIO:
         return False
     arows, brows = a.nonzero_rows, b.nonzero_rows
     limit = _PACK_RATIO * a.rows * b.cols
-    if (sum(map(len, arows)) + (sum(map(len, brows)) if commute else 0)) * b.cols <= limit:
-        return False
     alen, blen = [*map(len, arows)], [*map(len, brows)]
     terms = sum(blen[k] for row in arows for k, _ in row)
     if commute:

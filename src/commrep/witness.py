@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .commgraph import Assignment
+from .errors import InvalidArgumentError
 from .exactla import (
     FieldSpec,
     Matrix,
@@ -27,11 +28,11 @@ from .exactla import (
 
 def sharp_witness(n: int, lam, field: FieldSpec) -> Assignment:
     """Matching-graph witness in dimension n+1, ordered (a_1..a_n, b_1..b_n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
     lam = field.scalar(lam)
     if not lam:
-        raise ValueError("lambda must be a unit (nonzero)")
+        raise InvalidArgumentError("lambda must be nonzero in the chosen field")
+    if n < 1:
+        raise InvalidArgumentError("n must be at least 1")
     r = n + 1
     eye = identity(r, field)
     a = [eye + elementary_matrix(r, 1, i + 1, field) for i in range(1, n + 1)]

@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +17,18 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import commrep.exactla as exactla  # noqa: E402
-from commrep.exactla import GF, QQ, matrix_from_rows  # noqa: E402
+from commrep.certificate import pairs_from_assignment  # noqa: E402
+from commrep.exactla import GF, QQ, identity, matrix_from_rows  # noqa: E402
+from commrep.witness import sharp_witness  # noqa: E402
+
+
+def run_cli(*args):
+    """Run ``python -m commrep`` with ``src`` first on PYTHONPATH; its output is decoded with no newline translation."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-m", "commrep", *args], capture_output=True, env=env)
+    res.stdout, res.stderr = res.stdout.decode(), res.stderr.decode()
+    return res
 
 small_fractions = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
@@ -88,3 +101,17 @@ def kernel_path(path="auto"):
             attr = f"_{name}_products"
             mp.setattr(exactla, attr, counted(name, getattr(exactla, attr)))
         yield calls
+
+
+def dense_conjugated_pairs(n, field):
+    """The sharp witness conjugated by P = I + c u w^T, w.u = 0, so P^-1 = I - c u w^T and each x_i is dense."""
+    r = n + 1
+    u = [(-1) ** i * (i % 3 + 1) for i in range(r - 1)] + [1]
+    w = [i % 4 + 1 for i in range(r - 1)]
+    w.append(-sum(x * y for x, y in zip(u, w)))
+    c = Fraction(5, 2) if field.is_rationals else 5
+    conj = matrix_from_rows(field, [[int(i == j) + c * u[i] * w[j] for j in range(r)] for i in range(r)])
+    conj_inv = matrix_from_rows(field, [[int(i == j) - c * u[i] * w[j] for j in range(r)] for i in range(r)])
+    assert conj @ conj_inv == identity(r, field)
+    pairs = pairs_from_assignment(sharp_witness(n, 3, field))
+    return [(conj @ a @ conj_inv, conj @ b @ conj_inv) for a, b in pairs]

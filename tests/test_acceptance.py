@@ -6,7 +6,6 @@ PASS/FAIL lines and timings.
 
 import contextlib
 import json
-import os
 import random
 import subprocess
 import sys
@@ -53,9 +52,10 @@ from commrep.modsplit import (
 )
 from commrep.search import NONE, exists_realization, min_realization_dim
 from commrep.witness import product_block_embedding, sharp_witness
+from conftest import run_cli
 from reference_elimination import rank as reference_rank
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @contextlib.contextmanager
@@ -377,35 +377,24 @@ def test_criterion_7_counting_chain():
             assert dead + 1 in check.failed_columns
 
 
-def _run_cli(*args, cwd=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "commrep", *args],
-        capture_output=True,
-        cwd=cwd,
-        env=env,
-    )
-
-
 def test_criterion_8_byte_identical_output(tmp_path):
     with criterion(8, "deterministic CLI output"):
         graph2 = tmp_path / "m2.json"
         graph2.write_text(json.dumps({"vertices": 4, "edges": [[1, 3], [2, 4]]}))
 
-        wit = _run_cli("witness", "--n", "2", "--lambda", "2", "--field", "Q")
+        wit = run_cli("witness", "--n", "2", "--lambda", "2", "--field", "Q")
         assert wit.returncode == 0
         pairs_file = tmp_path / "w2.json"
-        pairs_file.write_bytes(wit.stdout)
+        pairs_file.write_text(wit.stdout)
 
-        cert = _run_cli("certify", "--input", str(pairs_file))
+        cert = run_cli("certify", "--input", str(pairs_file))
         assert cert.returncode == 0
         cert_file = tmp_path / "c2.json"
-        cert_file.write_bytes(cert.stdout)
+        cert_file.write_text(cert.stdout)
 
-        hint = _run_cli("witness", "--n", "2", "--lambda", "1", "--field", "Fp:2")
+        hint = run_cli("witness", "--n", "2", "--lambda", "1", "--field", "Fp:2")
         hint_file = tmp_path / "h2.json"
-        hint_file.write_bytes(hint.stdout)
+        hint_file.write_text(hint.stdout)
 
         module_file = tmp_path / "s3.json"
         perm = lambda rows: {  # noqa: E731
@@ -446,14 +435,14 @@ def test_criterion_8_byte_identical_output(tmp_path):
         ]
         outputs = {}
         for args in invocations:
-            first = _run_cli(*args)
-            second = _run_cli(*args)
+            first = run_cli(*args)
+            second = run_cli(*args)
             assert first.returncode == second.returncode
             assert first.stdout == second.stdout, f"nondeterministic: {args[0]}"
             # canonical form: reserializing the parsed document gives the bytes back
             doc = json.loads(first.stdout)
             canon = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-            assert canon.encode() == first.stdout
+            assert canon == first.stdout
             outputs[tuple(args)] = first
 
         seq = outputs[tuple(search_args)]
@@ -462,3 +451,11 @@ def test_criterion_8_byte_identical_output(tmp_path):
         report = json.loads(par.stdout)
         assert report["status"] == "exact"
         assert report["lower"] == report["upper"] == 3
+
+
+def test_tiny_output_digests_are_pinned():
+    # a changed output of any benchmark workload changes its digest, even where every oracle check passes
+    argv = [sys.executable, str(SCRIPTS / "output_digests.py"), "--seeds", "1", "--size", "tiny"]
+    res = subprocess.run(argv, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (SCRIPTS / "output_digests_tiny.txt").read_text()

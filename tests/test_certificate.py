@@ -49,7 +49,7 @@ from commrep.exactla import (
 )
 from commrep.witness import sharp_witness
 
-from conftest import big_fractions, kernel_path, small_fractions
+from conftest import big_fractions, dense_conjugated_pairs, kernel_path, small_fractions
 from reference_elimination import kernel_basis, matvec, rank as reference_rank
 
 
@@ -450,23 +450,9 @@ def test_json_verifier_reports_zv_zero_and_not_z_zero(monkeypatch):
     assert res == verify_certificate(_with(bad, z=cert.z), pairs)
 
 
-def _dense_conjugated_pairs(n, field):
-    """The sharp witness conjugated by P = I + c u w^T, w.u = 0, so P^-1 = I - c u w^T and each x_i is dense."""
-    r = n + 1
-    u = [(-1) ** i * (i % 3 + 1) for i in range(r - 1)] + [1]
-    w = [i % 4 + 1 for i in range(r - 1)]
-    w.append(-sum(x * y for x, y in zip(u, w)))
-    c = Fraction(5, 2) if field.is_rationals else 5
-    conj = matrix_from_rows(field, [[int(i == j) + c * u[i] * w[j] for j in range(r)] for i in range(r)])
-    conj_inv = matrix_from_rows(field, [[int(i == j) - c * u[i] * w[j] for j in range(r)] for i in range(r)])
-    assert conj @ conj_inv == identity(r, field)
-    pairs = pairs_from_assignment(sharp_witness(n, 3, field))
-    return [(conj @ a @ conj_inv, conj @ b @ conj_inv) for a, b in pairs]
-
-
 @pytest.mark.parametrize("field", [GF(19), QQ], ids=["GF(19)", "Q"])
 def test_dense_certificate_is_the_same_on_both_kernel_paths(field):
-    pairs = _dense_conjugated_pairs(8, field)
+    pairs = dense_conjugated_pairs(8, field)
     assert field.is_prime_field or pairs[0][0].den > 1
     with kernel_path() as calls:
         build_certificate(pairs)

@@ -9,25 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from commrep.certificate import build_certificate
 from commrep.cli import WITNESS_N_CAP
-from commrep.commgraph import CommGraph
-from commrep.exactla import GF
+from commrep.commgraph import Assignment, CommGraph, assignment_to_json
+from commrep.exactla import GF, QQ, FieldSpec
 from commrep.modsplit import DIM_CAP
 from commrep.search import NONE, exists_realization
+from conftest import dense_conjugated_pairs, kernel_path, run_cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def run_cli(*args, cwd=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "commrep", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
-    )
 
 
 def payload(result):
@@ -430,6 +420,109 @@ def test_selftest_passes():
     assert "split_sl2_f5_squared" in {c["name"] for c in doc["checks"]}
 
 
+# Outputs pinned byte for byte; a change to any of them is a change of the JSON contract
+_CERT_F11 = (
+    '{"alpha":["1","0","0","0","1"],"bound":5,"field":"Fp:11","gram":[["0","0","0","0","8","0","0","0"],'
+    '["0","0","0","0","0","8","0","0"],["0","0","0","0","0","0","8","0"],["0","0","0","0","0","0","0","8"],'
+    '["3","0","0","0","0","0","0","0"],["0","3","0","0","0","0","0","0"],["0","0","3","0","0","0","0","0"],'
+    '["0","0","0","3","0","0","0","0"]],"image_rank":5,"n":4,"r":5,"v":["0","1","1","1","1"]}\n'
+)
+
+_CERT_Q = (
+    '{"alpha":[["1","1"],["0","1"],["0","1"],["1","1"]],'
+    '"bound":4,"field":"Q","gram":[[["0","1"],["0","1"],["0","1"],["1","2"],["0","1"],["0","1"]],'
+    '[["0","1"],["0","1"],["0","1"],["0","1"],["1","2"],["0","1"]],'
+    '[["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["1","2"]],'
+    '[["-1","2"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"]],'
+    '[["0","1"],["-1","2"],["0","1"],["0","1"],["0","1"],["0","1"]],'
+    '[["0","1"],["0","1"],["-1","2"],["0","1"],["0","1"],["0","1"]]],'
+    '"image_rank":4,"n":3,"r":4,"v":[["0","1"],["1","1"],["1","1"],["1","1"]]}\n'
+)
+
+_CERT_DENSE_F13 = (
+    '{"alpha":["0","0","0","0","0","1"],"bound":6,"field":"Fp:13","gram":[["0","0","0","0","0","2","0","0","0","0"],'
+    '["0","0","0","0","0","0","10","0","0","0"],["0","0","0","0","0","0","0","1","0","0"],'
+    '["0","0","0","0","0","0","0","0","11","0"],["0","0","0","0","0","0","0","0","0","10"],'
+    '["11","0","0","0","0","0","0","0","0","0"],["0","3","0","0","0","0","0","0","0","0"],'
+    '["0","0","12","0","0","0","0","0","0","0"],["0","0","0","2","0","0","0","0","0","0"],'
+    '["0","0","0","0","3","0","0","0","0","0"]],"image_rank":6,"n":5,"r":6,"v":["0","0","0","0","0","1"]}\n'
+)
+
+_CERT_DENSE_Q = (
+    '{"alpha":[["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["1","1"]],'
+    '"bound":6,"field":"Q","gram":['
+    '[["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["150","1"],["0","1"],["0","1"],["0","1"],["0","1"]],'
+    '[["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["-225","1"],["0","1"],["0","1"],["0","1"]],'
+    '[["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["75","1"],["0","1"],["0","1"]],'
+    '[["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["-150","1"],["0","1"]],'
+    '[["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["-165","2"]],'
+    '[["-150","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"]],'
+    '[["0","1"],["225","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"]],'
+    '[["0","1"],["0","1"],["-75","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"]],'
+    '[["0","1"],["0","1"],["0","1"],["150","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"]],'
+    '[["0","1"],["0","1"],["0","1"],["0","1"],["165","2"],["0","1"],["0","1"],["0","1"],["0","1"],["0","1"]]],'
+    '"image_rank":6,"n":5,"r":6,"v":[["0","1"],["0","1"],["0","1"],["0","1"],["0","1"],["1","1"]]}\n'
+)
+
+_REALIZED = '{"realizes":true,"violations":[]}\n'
+
+_CROSSED_64 = (
+    '{"realizes":false,"violations":[{"commutes":false,"edge":false,"u":1,"v":65},'
+    '{"commutes":true,"edge":true,"u":1,"v":66}]}\n'
+)
+
+_P4_ON_H4 = (
+    '{"realizes":false,"violations":[{"commutes":true,"edge":true,"u":1,"v":2},'
+    '{"commutes":false,"edge":false,"u":1,"v":3},{"commutes":true,"edge":true,"u":2,"v":3},'
+    '{"commutes":false,"edge":false,"u":2,"v":4},{"commutes":true,"edge":true,"u":3,"v":4}]}\n'
+)
+
+_W64 = ["witness", "--n", "64", "--lambda", "3", "--field", "Q"]
+_H4 = {"matrices": [{"field": "Fp:2", "rows": 3, "cols": 3, "entries": list(entries)}
+                    for entries in ("110010001", "101010001", "000010000", "000000001")]}
+
+
+@pytest.mark.parametrize(
+    "source, graph, expected",
+    [
+        (["witness", "--n", "4", "--lambda", "3", "--field", "Fp:11"], None, _CERT_F11),
+        (["witness", "--n", "3", "--lambda=-1/2", "--field", "Q"], None, _CERT_Q),
+        (GF(13), None, _CERT_DENSE_F13),
+        (QQ, None, _CERT_DENSE_Q),
+        (_W64, {"vertices": 128, "edges": [[i, 64 + i] for i in range(1, 65)]}, _REALIZED),
+        (_W64, {"vertices": 128, "edges": [[1, 66]] + [[i, 64 + i] for i in range(2, 65)]}, _CROSSED_64),
+        (_H4, {"vertices": 4, "edges": [[1, 3], [2, 4]]}, _REALIZED),
+        (_H4, {"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4]]}, _P4_ON_H4),
+    ],
+    ids=["certify-fp11", "certify-q", "certify-dense-fp13", "certify-dense-q", "verify-graph-64-matching",
+         "verify-graph-64-crossed", "verify-graph-hint-m2", "verify-graph-hint-p4"],
+)
+def test_outputs_are_pinned(workdir, source, graph, expected):
+    # source is a witness call, a field for the dense n = 5 witness, or an assignment document;
+    # with no graph it is certified and the certificate verified, else verify-graph checks it against the graph
+    if isinstance(source, list):
+        res = run_cli(*source)
+        assert res.returncode == 0
+        source = res.stdout.encode()
+    elif isinstance(source, FieldSpec):
+        pairs = dense_conjugated_pairs(5, source)
+        with kernel_path() as calls:
+            build_certificate(pairs)
+        assert calls["packed"] > 0  # the dense commutators take the packed product path
+        a_list, b_list = zip(*pairs)
+        source = assignment_to_json(Assignment(a_list + b_list))
+    pairs_file = _write(workdir, "input.json", source)
+    if graph is None:
+        res = run_cli("certify", "--input", pairs_file)
+        assert (res.returncode, res.stdout) == (0, expected)
+        cert_file = _write(workdir, "cert.json", res.stdout.encode())
+        res = run_cli("verify-cert", "--cert", cert_file, "--input", pairs_file)
+        assert (res.returncode, res.stdout) == (0, '{"reasons":[],"valid":true}\n')
+    else:
+        res = run_cli("verify-graph", "--input", pairs_file, "--graph", _write(workdir, "graph.json", graph))
+        assert (res.returncode, res.stdout) == (0, expected)
+
+
 def _readme_cli_lines():
     """The commands of the README's CLI block, continuation lines joined, comments dropped."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -480,7 +573,24 @@ def _commrep_modules_after(*statements):
 
 def test_importing_the_package_or_the_cli_loads_no_library_module():
     assert _commrep_modules_after("import commrep") == {"commrep"}
-    assert _commrep_modules_after("import commrep.cli") == {"commrep", "commrep.cli", "commrep.errors"}
+    loaded = _modules_after("import commrep.cli")
+    assert {m for m in loaded if m.split(".")[0] == "commrep"} == {"commrep", "commrep.cli", "commrep.errors"}
+    assert not {m.split(".")[0] for m in loaded} & {"numpy", "scipy"}
+
+
+def test_every_module_imports_and_selftest_passes_with_no_site_packages():
+    # -I -S: no site-packages and no PYTHON* variables, so only the standard library and src can be imported;
+    # -B: the run writes no bytecode into src
+    code = "\n".join([
+        f"import sys; sys.path.insert(0, {SRC!r})",
+        "import commrep.certificate, commrep.commgraph, commrep.errors, commrep.exactla, commrep.modsplit",
+        "import commrep.search, commrep.witness",
+        "from commrep.cli import main",
+        "sys.exit(main(['selftest']))",
+    ])
+    res = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, (res.stdout, res.stderr)
+    assert json.loads(res.stdout)["selftest"] == "pass"
 
 
 def test_witness_call_loads_no_certificate_search_or_modsplit():

@@ -139,9 +139,9 @@ def test_thousand_vertex_matching_is_bounded_through_the_greedy_path(monkeypatch
     greedy = search._greedy_unique_matching
     monkeypatch.setattr(search, "_greedy_unique_matching", lambda adjacency: calls.append(1) or greedy(adjacency))
     graph = matching_graph(500)
-    start = time.perf_counter()
+    start = time.process_time()
     report = min_realization_dim(graph, GF(2), r_max=3)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert calls == [1] and elapsed < 1.0
     assert (report.analytic_lower, report.lower, report.upper, report.nodes_explored) == (501, 501, None, 0)
     assert report.excluded == tuple((r, "analytic") for r in range(1, 501))

@@ -112,10 +112,10 @@ def test_guard_refuses_large_enumeration(monkeypatch):
     monkeypatch.setattr(modsplit, "spin", counted_spin)
     for spec in (over_cap, field_module):
         spins.clear()
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(GuardError):
             composition_factor_dims(spec)
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         assert len(spins) <= SPLIT_BUDGET  # the budget, not the host's speed, ends the split
 
 
@@ -276,9 +276,9 @@ def test_sl2_f5_power_splits_into_planes(n):
     f5 = GF(5)
     sl2 = [matrix_from_rows(f5, [[1, 1], [0, 1]]), matrix_from_rows(f5, [[0, 4], [1, 0]])]
     spec = ModuleSpec(f5, 2 * n, tuple(product_block_embedding([sl2] * n)))
-    start = time.perf_counter()
+    start = time.process_time()
     report = composition_factor_dims(spec)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert report.factor_dims == (2,) * n
 
 

@@ -248,9 +248,9 @@ def test_level_over_the_class_cap_is_refused_at_once():
     assert class_count(4, 3) > 2 * 10**6
     tracemalloc.start()
     try:
-        start = time.perf_counter()
+        start = time.process_time()
         out = exists_realization(matching_graph(2), GF(3), 4)
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commrep.commgraph import matching_graph, realizes
+from commrep.errors import InvalidArgumentError
 from commrep.exactla import (
     GF,
     QQ,
@@ -67,10 +68,17 @@ def test_witness_over_prime_fields():
 
 
 def test_lambda_zero_rejected():
-    with pytest.raises(ValueError):
-        sharp_witness(2, 0, QQ)
-    with pytest.raises(ValueError):
-        sharp_witness(2, 5, GF(5))  # 5 = 0 mod 5
+    # lambda is checked first, so (0, 0) gets the message of the CLI's --n 0 --lambda 0
+    for n, lam, field, message in [
+        (2, 0, QQ, "lambda must be nonzero in the chosen field"),
+        (2, 5, GF(5), "lambda must be nonzero in the chosen field"),  # 5 = 0 mod 5
+        (0, 0, QQ, "lambda must be nonzero in the chosen field"),
+        (0, 2, QQ, "n must be at least 1"),
+        (1, 0, QQ, "lambda must be nonzero in the chosen field"),
+    ]:
+        with pytest.raises(InvalidArgumentError) as info:  # also a ValueError
+            sharp_witness(n, lam, field)
+        assert str(info.value) == message
 
 
 @settings(max_examples=20, deadline=None)
