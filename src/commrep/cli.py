@@ -1,8 +1,8 @@
 """``commrep``: one JSON document on stdout per invocation, stable exit codes.
 
 Exit codes: 0 success, 1 internal/parse error, 2 domain refusal
-(pattern violation, field too small, guard violation, invalid hint),
-3 search budget exceeded.  Diagnostics go to stderr and are not part of
+(pattern violation, field too small, guard violation, invalid hint,
+invalid argument), 3 search budget exceeded.  Diagnostics go to stderr and are not part of
 the machine contract.
 """
 

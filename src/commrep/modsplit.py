@@ -29,16 +29,17 @@ A submodule splits the module into itself and the quotient, whose actions
 are read off the submodule's reduced echelon basis, with no change of basis.
 Both are split again, from an explicit stack, and the basis vectors of the
 irreducible pieces, in order, form the flag basis.  Each piece resumes the
-walk at the theta its parent split on.  The actions on a submodule and on a
-quotient are algebra homomorphisms, so in a basis through the submodule
-each theta of the parent is block triangular, with the same theta of the two
-pieces on its diagonal.  Its determinant is the product of theirs, so a
-theta with a zero kernel on the parent has a zero kernel on both pieces, and
-a piece's walk meets the same first theta with a nonzero kernel as a walk
-from the start.  A module above ``DIM_CAP``, or a module whose whole
-chain of splits needs more than ``SPLIT_BUDGET`` kernels and spins, ends
-with ``GuardError``, never with a verdict; thetas that are skipped are not
-charged.
+walk at the theta its parent split on: the words before it are formed but
+their thetas are not walked, and a word equal to an earlier one is skipped
+on either side of it.  The actions on a submodule and on a quotient are
+algebra homomorphisms, so in a basis through the submodule each theta of
+the parent is block triangular, with the same theta of the two pieces on
+its diagonal.  Its determinant is the product of theirs, so a theta with a
+zero kernel on the parent has a zero kernel on both pieces, and a piece's
+walk meets the same first theta with a nonzero kernel as a walk from the
+start.  A module above ``DIM_CAP``, or a module whose whole chain of splits
+needs more than ``SPLIT_BUDGET`` kernels and spins, ends with
+``GuardError``, never with a verdict; skipped thetas are not charged.
 
 The MeatAxe works on residue rows: each theta is a list of dense rows, its
 kernel comes from the one elimination routine of ``exactla``, and ``spin``
@@ -63,7 +64,7 @@ with S_j the set of columns where row j has an entry >= 2.
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -162,58 +163,42 @@ class _Budget:
         self.left -= 1
 
 
-def _words(gens: tuple, first: int):
-    """(index, invertible, word) for each word from index ``first`` on.
+def _words(gens: tuple):
+    """(invertible, word) for each word, formed only when the walk reaches it.
 
     The words are the generators, their pairwise sums, their products, then
     products plus a generator; a generator and a product of two are
-    invertible.  A word before ``first`` is not formed.
+    invertible.
     """
-    n, t = len(gens), 0
-    for a in gens:
-        if t >= first:
-            yield t, True, a
-        t += 1
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            if t >= first:
-                yield t, False, a + b
-            t += 1
-    for a in gens:
-        for b in gens:
-            if t >= first:
-                yield t, True, a @ b
-            t += 1
-    for a in gens:
-        for b in gens:
-            if t + n > first:
-                ab = a @ b
-                for c in gens:
-                    if t >= first:
-                        yield t, False, ab + c
-                    t += 1
-            else:
-                t += n
+    yield from ((True, a) for a in gens)
+    yield from ((False, a + b) for a, b in combinations(gens, 2))
+    yield from ((True, a @ b) for a, b in product(gens, repeat=2))
+    for a, b in product(gens, repeat=2):
+        ab = a @ b
+        yield from ((False, ab + c) for c in gens)
 
 
 def _thetas(spec: ModuleSpec, first: int):
     """(position, residue rows) of each theta = w - lambda*I from position ``first`` on, then of 0.
 
     Word t of ``_words`` with lambda is at position t*p + lambda, and theta = 0
-    at the position after them all.  A repeated word gives the same thetas and
-    is skipped, and an invertible word has no kernel at lambda = 0.
+    after them all.  Words before ``first`` are formed but not walked, so a word
+    equal to any earlier one is skipped on either side of ``first``; an
+    invertible word has no kernel at lambda = 0.
     """
-    d, p, n = spec.dim, spec.field.characteristic, len(spec.generators)
+    d, p = spec.dim, spec.field.characteristic
     seen = set()
-    for t, invertible, w in _words(spec.generators, first // p):
+    for t, (invertible, w) in enumerate(_words(spec.generators)):
         if w in seen:
             continue
         seen.add(w)
+        if (t + 1) * p <= first:
+            continue  # every theta of w lies before first
         rows = list(_integer_dense_rows(w))
         for lam in range(max(first - t * p, int(invertible)), p):
             theta = [[(x - lam) % p if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
             yield t * p + lam, theta
-    yield (n + n * (n - 1) // 2 + n**2 + n**3) * p, [[0] * d for _ in range(d)]
+    yield (t + 1) * p, [[0] * d for _ in range(d)]
 
 
 def _points(kernel: list, p: int):
